@@ -36,8 +36,10 @@ from typing import Any
 import numpy as np
 
 from ..errors import ParameterError
+from ..fft.transpose import xyz_to_xzy, xyz_to_zxy
 from ..simmpi.comm import SimContext
 from ..simmpi.request import AlltoallRequest
+from .packing import ffty_pack_real, unpack_fftx_real
 from .params import ProblemShape, TuningParams, default_params
 from .plan import ParallelFFT3D
 from .variants import FFTW_BASELINE, NEW
@@ -137,11 +139,7 @@ class MultiArrayFFT3D:
             nz = shape.nz
             # FFTz + Transpose with progression on the in-flight array.
             if local is not None:
-                from ..fft.transpose import xyz_to_xzy, xyz_to_zxy
-
-                d = plan._plan("z", nz).execute(local, axis=2)
-                d = xyz_to_xzy(d) if plan.use_fast_transpose else xyz_to_zxy(d)
-                data[a] = d
+                data[a] = _fixed_steps_real(plan, local)
             ctx.compute_with_progress(
                 ctx.cpu.fft_time(nz, plan.dec.nxl * shape.ny),
                 tests(p.Fy), "FFTz",
@@ -179,15 +177,8 @@ class MultiArrayFFT3D:
         nz = shape.nz
         ctx.compute_with_progress(plan._ffty_time(nz), test_list, "FFTy")
         if data[a] is not None:
-            from .packing import ffty_pack_real
-
-            yplan = plan._plan("y", shape.ny)
             chunks[a] = ffty_pack_real(
-                data[a] if plan.tile_layout == "zxy" else data[a],
-                lambda arr: yplan.execute(arr, axis=-1),
-                plan.dec.y_counts,
-                plan.params.Px, min(plan.params.Pz, nz),
-                plan.tile_layout,
+                data[a], plan.dec.y_counts, plan.tile_layout
             )
             data[a] = None
         ctx.compute_with_progress(plan._pack_time(nz), test_list, "Pack")
@@ -198,17 +189,11 @@ class MultiArrayFFT3D:
         ctx.compute_with_progress(plan._unpack_time(nz), test_list, "Unpack")
         out = None
         if recv is not None and recv[0] is not None:
-            from .packing import unpack_fftx_real
-
-            xplan = plan._plan("x", shape.nx)
             out = unpack_fftx_real(
-                recv,
-                lambda arr: xplan.execute(arr, axis=-1),
-                plan.dec.x_counts,
-                plan.dec.nyl,
-                plan.params.Uy, min(plan.params.Uz, nz),
+                recv, plan.dec.x_counts, plan._alloc_output(),
                 plan.output_layout,
             )
+            out = plan._plan("x", shape.nx).execute(out)
         ctx.compute_with_progress(plan._fftx_time(nz), test_list, "FFTx")
         return out
 
@@ -262,17 +247,18 @@ class MultiArrayFFT3D:
             yield from drain_one()
         if locals_ is None:
             return None
-        return per_array_out
+        # FFTx once per array over its assembled output slab.
+        return [
+            plan._plan("x", self.shape.nx).execute(out)
+            for plan, out in zip(self.plans, per_array_out)
+        ]
 
     def _fixed_steps(self, plan, local, active):
         ctx, shape = self.ctx, self.shape
         p = self.params
         data = None
         if local is not None:
-            from ..fft.transpose import xyz_to_xzy, xyz_to_zxy
-
-            data = plan._plan("z", shape.nz).execute(local, axis=2)
-            data = xyz_to_xzy(data) if plan.use_fast_transpose else xyz_to_zxy(data)
+            data = _fixed_steps_real(plan, local)
         share = [(r, max(1, p.Fy // max(len(active), 1))) for r in active]
         ctx.compute_with_progress(
             ctx.cpu.fft_time(shape.nz, plan.dec.nxl * shape.ny), share, "FFTz"
@@ -293,14 +279,8 @@ class MultiArrayFFT3D:
         ctx.compute_with_progress(plan._ffty_time(tz), tests, "FFTy")
         chunks = None
         if data[a] is not None:
-            from .packing import ffty_pack_real
-
-            yplan = plan._plan("y", self.shape.ny)
             chunks = ffty_pack_real(
-                plan._tile_view(j, data[a]),
-                lambda arr: yplan.execute(arr, axis=-1),
-                plan.dec.y_counts,
-                p.Px, p.Pz,
+                plan._tile_view(j, data[a]), plan.dec.y_counts,
                 plan.tile_layout,
             )
         tests = ParallelFFT3D._share_tests(active, p.Fp)
@@ -315,23 +295,20 @@ class MultiArrayFFT3D:
         tests = ParallelFFT3D._share_tests(active, p.Fu)
         ctx.compute_with_progress(plan._unpack_time(tz), tests, "Unpack")
         if outs[a] is not None and recv is not None and recv[0] is not None:
-            from .packing import unpack_fftx_real
-
-            xplan = plan._plan("x", self.shape.nx)
-            tile_out = unpack_fftx_real(
-                recv,
-                lambda arr: xplan.execute(arr, axis=-1),
-                plan.dec.x_counts,
-                plan.dec.nyl,
-                p.Uy, p.Uz,
+            unpack_fftx_real(
+                recv, plan.dec.x_counts, plan._out_view(j, outs[a]),
                 plan.output_layout,
             )
-            if plan.output_layout == "zyx":
-                outs[a][z0:z1] = tile_out
-            else:
-                outs[a][:, z0:z1, :] = tile_out
         tests = ParallelFFT3D._share_tests(active, p.Fx)
         ctx.compute_with_progress(plan._fftx_time(tz), tests, "FFTx")
+
+
+def _fixed_steps_real(plan: ParallelFFT3D, local: np.ndarray) -> np.ndarray:
+    """FFTz, Transpose and the whole-slab FFTy of one array's payload
+    (see :mod:`repro.core.plan`); Pack then only moves data."""
+    data = plan._plan("z", plan.shape.nz).execute(local, axis=2)
+    data = xyz_to_xzy(data) if plan.use_fast_transpose else xyz_to_zxy(data)
+    return plan._plan("y", plan.shape.ny).execute(data)
 
 
 def run_multi_array(

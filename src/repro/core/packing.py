@@ -4,12 +4,17 @@ Each communication tile is processed in *sub-tiles*: FFTy runs on a
 ``Px x Ny x Pz`` block and Pack immediately scatters that block into the
 per-destination send chunks while it is still cache-resident; Unpack
 writes a ``Nx x Uy x Uz`` block into the output layout and FFTx consumes
-it likewise.  Two things live here:
+it likewise.  Three things live here:
 
-* the *real* data movement (numpy) used in real-payload mode, and
-* closed-form cost functions charging the machine model — grouped by
-  sub-tile size class so simulator cost is O(1) per tile, not O(#sub-
-  tiles), which keeps huge parameter sweeps cheap.
+* closed-form cost functions charging the machine model for that walk —
+  grouped by sub-tile size class so simulator cost is O(1) per tile,
+  not O(#sub-tiles), which keeps huge parameter sweeps cheap;
+* the *real* data movement (numpy) used in real-payload mode.  The 1-D
+  kernels are bitwise batch-independent, so the pipelines run FFTy and
+  FFTx as one call per rank over the whole slab and these movers only
+  copy (one strided copy per peer and tile);
+* the sub-tile walks themselves (``*_subtiled``), FFT calls included,
+  kept as the oracles the movers and pipelines are pinned against.
 
 Chunk wire format: the message from rank s to rank d for one tile is a
 ``(tz, nxl_s, nyl_d)`` complex array in z-x-y order, independent of the
@@ -98,51 +103,38 @@ def untiled_copy_cost(cpu: CpuModel, nbytes: int) -> float:
 
 def ffty_pack_real(
     tile: np.ndarray,
-    ffty,
     y_counts: list[int],
-    px: int,
-    pz: int,
     layout: str,
 ) -> list[np.ndarray]:
-    """FFTy + Pack one tile (Algorithm 2), returning per-dest chunks.
+    """Pack one tile whose rows FFTy already transformed (Algorithm 2's
+    data movement), returning per-dest chunks.
 
     ``tile`` is the communication tile in the post-Transpose layout:
     ``(tz, nxl, ny)`` for ``"zxy"`` or ``(nxl, tz, ny)`` for ``"xzy"``.
-    ``ffty`` is a callable transforming the last axis.
 
-    The ``ffty`` call pattern (one call per ``px`` x ``pz`` sub-tile) is
-    kept exactly as in the blocked reference — the FFT kernels are not
-    bitwise batch-independent, so changing the call shapes would move
-    results by ULPs.  What is vectorized is the scatter: blocks land in
-    a whole-tile staging buffer (one write per block instead of one per
-    block per destination), and each destination's chunk is then carved
-    out with a single whole-tile strided copy.  Element-identity with
-    the blocked reference is pinned by tests/core/test_packing_vector.py.
+    The pipelines run FFTy once over the whole slab before the tile loop
+    (one kernel call per rank instead of one per ``Px x Pz`` sub-tile).
+    That is exact because the kernels are bitwise batch-independent:
+    each row's transform does not depend on which rows share its call.
+    The ``Px x Pz`` sub-tile walk therefore shapes only the cost model
+    (:func:`pack_cost`); the mover carves each destination's chunk out
+    of the tile with one strided copy.  Element-identity with the
+    sub-tile walk :func:`ffty_pack_real_subtiled` is pinned bitwise by
+    tests/core/test_packing_vector.py and, through the whole pipeline,
+    by tests/core/test_slab_passes.py.
     """
     if layout == "zxy":
-        tz, nxl, ny = tile.shape
+        zxy = tile
     elif layout == "xzy":
-        nxl, tz, ny = tile.shape
+        zxy = tile.transpose(1, 0, 2)  # x-z-y tile -> (z, x, y) chunk order
     else:
         raise ParameterError(f"unknown tile layout {layout!r}")
-    if sum(y_counts) != ny:
+    if sum(y_counts) != zxy.shape[2]:
         raise ParameterError("y_counts must sum to the tile's y extent")
-    staging = np.empty((tz, nxl, ny), dtype=np.complex128)
-    for x0, x1 in iter_blocks(nxl, px):
-        for z0, z1 in iter_blocks(tz, pz):
-            if layout == "zxy":
-                staging[z0:z1, x0:x1, :] = ffty(tile[z0:z1, x0:x1, :])
-            else:
-                # x-z-y tile: bring the block to (z, x, y) chunk order.
-                staging[z0:z1, x0:x1, :] = ffty(
-                    tile[x0:x1, z0:z1, :]
-                ).transpose(1, 0, 2)
     chunks = []
     ys = 0
     for nyl_d in y_counts:
-        chunk = np.empty((tz, nxl, nyl_d), dtype=np.complex128)
-        chunk[...] = staging[:, :, ys : ys + nyl_d]
-        chunks.append(chunk)
+        chunks.append(np.ascontiguousarray(zxy[:, :, ys : ys + nyl_d]))
         ys += nyl_d
     return chunks
 
@@ -155,12 +147,13 @@ def ffty_pack_real_subtiled(
     pz: int,
     layout: str,
 ) -> list[np.ndarray]:
-    """Blocked reference implementation of :func:`ffty_pack_real`.
+    """Blocked reference implementation of FFTy + :func:`ffty_pack_real`.
 
     Walks ``px`` x ``pz`` sub-tiles the way Algorithm 2 does on real
-    hardware; kept as the oracle the vectorized mover is compared
-    against (and as executable documentation of the loop structure the
-    cost model charges).
+    hardware, calling ``ffty`` (a callable transforming the last axis)
+    once per sub-tile on the untransformed ``tile``; kept as the oracle
+    the whole-slab FFTy plus mover is compared against (and as executable
+    documentation of the loop structure the cost model charges).
     """
     if layout == "zxy":
         tz, nxl, ny = tile.shape
@@ -189,44 +182,36 @@ def ffty_pack_real_subtiled(
 
 def unpack_fftx_real(
     chunks: list[np.ndarray],
-    fftx,
     x_counts: list[int],
-    nyl: int,
-    uy: int,
-    uz: int,
+    out: np.ndarray,
     layout: str,
 ) -> np.ndarray:
-    """Unpack + FFTx one tile (Algorithm 3), returning the output tile.
+    """Unpack one tile into ``out`` (Algorithm 3's data movement), for
+    FFTx to transform later; returns ``out``.
 
     ``chunks[s]`` is the ``(tz, nxl_s, nyl)`` message from source ``s``.
-    The output tile is ``(tz, nyl, nx)`` in z-y-x order for ``"zyx"`` or
-    ``(nyl, tz, nx)`` in y-z-x order for ``"yzx"`` (the Nx==Ny variant);
-    either way x is contiguous for FFTx.
-
-    As with :func:`ffty_pack_real`, the ``uy`` x ``uz`` sub-tile walk is
-    a cost-model concern (:func:`unpack_cost`); the mover assembles each
-    source's x-slice with one whole-tile strided copy instead (same
-    elements, pinned by tests/core/test_packing_vector.py).
+    ``out`` is the tile's view of the output slab: ``(tz, nyl, nx)`` in
+    z-y-x order for ``"zyx"`` or ``(nyl, tz, nx)`` in y-z-x order for
+    ``"yzx"`` (the Nx==Ny variant); either way x is contiguous for FFTx,
+    which the pipelines run once over the assembled slab after the tile
+    loop.  As with :func:`ffty_pack_real`, the ``Uy x Uz`` sub-tile walk
+    is a cost-model concern (:func:`unpack_cost`); each source's x-slice
+    lands with one strided copy (same elements as
+    :func:`unpack_fftx_real_subtiled`, pinned by
+    tests/core/test_packing_vector.py).
     """
-    del uy, uz  # blocking factors shape the cost model, not the data
-    nx = sum(x_counts)
-    tz = chunks[0].shape[0]
     if layout == "zyx":
-        out = np.empty((tz, nyl, nx), dtype=np.complex128)
+        order = (0, 2, 1)
     elif layout == "yzx":
-        out = np.empty((nyl, tz, nx), dtype=np.complex128)
+        order = (2, 0, 1)
     else:
         raise ParameterError(f"unknown output layout {layout!r}")
     xs = 0
-    for s, nxl_s in enumerate(x_counts):
+    for blk, nxl_s in zip(chunks, x_counts):
         # chunk (z, x, y) -> output order, one strided copy per source.
-        blk = chunks[s]
-        if layout == "zyx":
-            out[:, :, xs : xs + nxl_s] = blk.transpose(0, 2, 1)
-        else:
-            out[:, :, xs : xs + nxl_s] = blk.transpose(2, 0, 1)
+        out[:, :, xs : xs + nxl_s] = blk.transpose(order)
         xs += nxl_s
-    return fftx(out)
+    return out
 
 
 def unpack_fftx_real_subtiled(
@@ -238,8 +223,9 @@ def unpack_fftx_real_subtiled(
     uz: int,
     layout: str,
 ) -> np.ndarray:
-    """Blocked reference implementation of :func:`unpack_fftx_real`
-    (the Algorithm 3 sub-tile walk; oracle for the vectorized mover)."""
+    """Blocked reference implementation of :func:`unpack_fftx_real` +
+    FFTx (the Algorithm 3 sub-tile walk, then ``fftx`` on the assembled
+    tile; oracle for the mover and the whole-slab FFTx)."""
     nx = sum(x_counts)
     tz = chunks[0].shape[0]
     if layout == "zyx":

@@ -8,7 +8,12 @@ tiled — and serves both payload modes:
 
 * **real**: the local slab is an actual complex array; every step does
   the numpy work and the final result is the true distributed FFT
-  (verified against ``numpy.fft.fftn`` in the tests);
+  (verified against ``numpy.fft.fftn`` in the tests).  FFTy and FFTx
+  each run as one kernel call over the rank's whole slab, not one per
+  tile: the 1-D kernels are bitwise batch-independent, so the result
+  equals Algorithms 2-3's per-sub-tile calls exactly
+  (``tests/core/test_slab_passes.py``), and the per-tile Pack/Unpack
+  only move data;
 * **virtual**: only byte counts flow; the control flow, communication
   and virtual-time accounting are identical, which is what makes the
   paper's 2048-cubed / 256-rank cases simulatable.
@@ -217,7 +222,14 @@ class ParallelFFT3D:
 
         # ---- tiled exchange pipeline (Algorithm 1) ---------------------------
         k = len(self.tiles)
-        out = self._alloc_output() if real else None
+        out = None
+        if real:
+            # FFTy as one kernel call over the whole slab: the kernels
+            # are bitwise batch-independent, so this equals the per-sub-
+            # tile calls of Algorithm 2 exactly, and Pack only moves data.
+            # Virtual time is still charged per tile, in the loop.
+            data = self._plan("y", ny).execute(data)
+            out = self._alloc_output()
         reqs: list[AlltoallRequest | None] = [None] * k
         recv: list[Any] = [None] * k
         chunks: list[Any] = [None] * k
@@ -291,16 +303,19 @@ class ParallelFFT3D:
                 if i < k:
                     self._post(i, chunks, reqs)
                 if i >= w:
-                    self._unpack_fftx(i - w, recv, reqs, out if real else None)
+                    self._unpack_fftx(i - w, recv, reqs, out)
         else:
             for i in range(k):
                 self._ffty_pack(i, data, chunks, reqs)
                 self._post(i, chunks, reqs)
                 recv[i] = yield from self.comm.co_wait(reqs[i], label="Wait")
                 live.pop(0)
-                self._unpack_fftx(i, recv, reqs, out if real else None)
+                self._unpack_fftx(i, recv, reqs, out)
 
-        return out if real else None
+        if real:
+            # FFTx likewise once over the assembled output slab.
+            out = self._plan("x", nx).execute(out)
+        return out
 
     # -- pipeline stages -----------------------------------------------------
 
@@ -310,6 +325,12 @@ class ParallelFFT3D:
             return data[z0:z1]
         return data[:, z0:z1, :]
 
+    def _out_view(self, i: int, out: np.ndarray) -> np.ndarray:
+        z0, z1 = self.tiles[i]
+        if self.output_layout == "zyx":
+            return out[z0:z1]
+        return out[:, z0:z1, :]
+
     def _ffty_pack(self, i, data, chunks, reqs) -> None:
         z0, z1 = self.tiles[i]
         tz = z1 - z0
@@ -318,14 +339,8 @@ class ParallelFFT3D:
         a = {"tile": i, "tz": tz, "bytes": self._tile_bytes(tz)} if self._obs else None
         self.ctx.progress_phase(t_ffty, self._live, P.Fy, "FFTy", attrs=a)
         if data is not None:
-            plan = self._plan("y", self.shape.ny)
             chunks[i] = ffty_pack_real(
-                self._tile_view(i, data),
-                lambda a: plan.execute(a, axis=-1),
-                self.dec.y_counts,
-                P.Px if self.spec.tiled_pack else self.dec.nxl,
-                P.Pz if self.spec.tiled_pack else tz,
-                self.tile_layout,
+                self._tile_view(i, data), self.dec.y_counts, self.tile_layout
             )
         self.ctx.progress_phase(t_pack, self._live, P.Fp, "Pack", attrs=a)
 
@@ -351,20 +366,10 @@ class ParallelFFT3D:
                  "bytes": tz * self.dec.nyl * self.shape.nx * ITEMSIZE}
         self.ctx.progress_phase(t_unpack, self._live, P.Fu, "Unpack", attrs=a)
         if out is not None:
-            plan = self._plan("x", self.shape.nx)
-            tile_out = unpack_fftx_real(
-                recv[j],
-                lambda a: plan.execute(a, axis=-1),
-                self.dec.x_counts,
-                self.dec.nyl,
-                P.Uy if self.spec.tiled_pack else self.dec.nyl,
-                P.Uz if self.spec.tiled_pack else tz,
+            unpack_fftx_real(
+                recv[j], self.dec.x_counts, self._out_view(j, out),
                 self.output_layout,
             )
-            if self.output_layout == "zyx":
-                out[z0:z1] = tile_out
-            else:
-                out[:, z0:z1, :] = tile_out
         recv[j] = None
         self.ctx.progress_phase(t_fftx, self._live, P.Fx, "FFTx", attrs=a)
 

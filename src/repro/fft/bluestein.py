@@ -4,8 +4,9 @@ sizes via a power-of-two convolution.
 ``X[k] = conj(c[k]) * IDFT_M( DFT_M(x*conj(c)) * DFT_M(b) )[k]`` where
 ``c[j] = exp(-sign*πi*j²/n)`` is the chirp and ``b`` its mirrored
 conjugate, zero-padded to a convolution length ``M >= 2n-1`` that is a
-power of two.  The inner transforms reuse the radix-2
-:class:`~repro.fft.stockham.StagePlan`.
+power of two.  The inner transforms reuse the radix-4
+:class:`~repro.fft.stockham.StagePlan`; every step is elementwise or one
+of those transforms, so rows stay independent of the batch.
 """
 
 from __future__ import annotations
@@ -67,5 +68,5 @@ class BluesteinPlan:
 
     @property
     def flop_estimate(self) -> float:
-        """FLOP estimate: three size-``m`` FFTs plus pointwise work."""
-        return 3 * 5.0 * self.m * np.log2(self.m) + 8.0 * (self.m + 2 * self.n)
+        """FLOP estimate: two size-``m`` FFTs plus pointwise work."""
+        return 2 * self._fwd.flop_estimate + 6.0 * (self.m + 2 * self.n)

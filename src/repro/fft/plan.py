@@ -13,7 +13,9 @@ Candidate selection depends on the planner *flag* — the same four levels
 FFTW exposes and the paper discusses in Section 4.1:
 
 ``ESTIMATE``
-    pick by analytic FLOP estimate, run nothing;
+    pick by analytic FLOP estimate (for mixed-radix kernels, the
+    compiled program's codelet products and twiddle multiplies; equal
+    estimates fall to the descriptor name), run nothing;
 ``MEASURE``
     time each candidate once on a small batch;
 ``PATIENT``
@@ -23,13 +25,15 @@ FFTW exposes and the paper discusses in Section 4.1:
     like PATIENT with more repetitions.
 
 Winning kernels are recorded in a :class:`~repro.fft.wisdom.WisdomStore`
-so identical plans are free.
+so identical plans are free; an entry naming a kernel the size does not
+offer is a miss, replanned and overwritten.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import threading
 import time
 from dataclasses import dataclass
@@ -39,8 +43,8 @@ import numpy as np
 from ..errors import PlanError
 from ..util.intmath import prime_factors
 from .bluestein import BluesteinPlan
-from .dftmat import BACKWARD, DIRECT_MAX, FORWARD, dft_matrix
-from .stockham import POLICIES, StagePlan
+from .dftmat import BACKWARD, DIRECT_MAX, FORWARD, apply_codelet, dft_matrix
+from .stockham import POLICIES, StagePlan, radix_path
 from .wisdom import GLOBAL_WISDOM, WisdomStore
 
 
@@ -139,7 +143,8 @@ class _Direct:
 
     def execute(self, x: np.ndarray) -> np.ndarray:
         """Dense DFT of the last axis (direct O(n^2) product)."""
-        return x @ dft_matrix(self.n, self.sign).T
+        flat = np.ascontiguousarray(x, dtype=np.complex128).reshape(-1, self.n)
+        return apply_codelet(flat, dft_matrix(self.n, self.sign)).reshape(x.shape)
 
     @property
     def flop_estimate(self) -> float:
@@ -158,7 +163,8 @@ def _make_kernel(descriptor: str, n: int, sign: int):
     raise PlanError(f"unknown kernel descriptor {descriptor!r}")
 
 
-def _candidates(n: int) -> list[str]:
+@functools.lru_cache(maxsize=None)
+def _candidates(n: int) -> tuple[str, ...]:
     """Kernel descriptors worth considering for size ``n``."""
     out: list[str] = []
     if n <= DIRECT_MAX:
@@ -167,8 +173,6 @@ def _candidates(n: int) -> list[str]:
     if n > 1 and max(factors) <= DIRECT_MAX:
         seen: set[tuple[int, ...]] = set()
         for policy in POLICIES:
-            from .stockham import radix_path
-
             path = tuple(radix_path(n, policy))
             if path in seen:
                 continue
@@ -178,7 +182,19 @@ def _candidates(n: int) -> list[str]:
         out.append("bluestein")
     if not out:  # n == 1
         out.append("direct")
-    return out
+    return tuple(out)
+
+
+def _offered(descriptor: str, names: tuple[str, ...]) -> bool:
+    """Whether ``descriptor`` is one of the kernels in ``names``.
+
+    Any known ``mixed:`` policy counts when the mixed-radix family is
+    offered: :func:`_candidates` lists only one policy per distinct radix
+    path, and the others compile to an equivalent program.
+    """
+    if descriptor.startswith("mixed:") and descriptor[6:] in POLICIES:
+        return any(d.startswith("mixed:") for d in names)
+    return descriptor in names
 
 
 class Plan1D:
@@ -221,14 +237,18 @@ class Plan1D:
     # -- planning --------------------------------------------------------
 
     def _plan(self) -> str:
+        names = _candidates(self.n)
         cached = self._wisdom.lookup(self.n, self.sign, self.flag.value)
-        if cached is not None:
+        # An entry naming a kernel this size does not offer (imported or
+        # hand-written wisdom) is a miss: replan and overwrite it.
+        if cached is not None and _offered(cached, names):
             _count("fft_wisdom_hits_total")
             return cached
         _count("fft_plans_built_total", flag=self.flag.value)
-        names = _candidates(self.n)
         if self.flag is Flag.ESTIMATE or len(names) == 1:
-            best = min(names, key=lambda d: _cached_kernel(d, self.n, self.sign).flop_estimate)
+            # Equal estimates fall to the descriptor name, not list order.
+            best = min(names, key=lambda d: (
+                _cached_kernel(d, self.n, self.sign).flop_estimate, d))
         else:
             reps, batches = _EFFORT[self.flag]
             best, best_t = names[0], float("inf")
@@ -261,11 +281,13 @@ class Plan1D:
             raise PlanError(
                 f"plan is for size {self.n}, axis {axis} has length {x.shape[axis]}"
             )
-        moved = np.moveaxis(x, axis, -1)
-        out = self._kernel.execute(np.ascontiguousarray(moved, dtype=np.complex128))
+        last = axis in (-1, x.ndim - 1)
+        if not last:
+            x = np.moveaxis(x, axis, -1)
+        out = self._kernel.execute(x)
         if normalize:
-            out = out / self.n
-        return np.moveaxis(out, -1, axis)
+            out /= self.n
+        return out if last else np.moveaxis(out, -1, axis)
 
     @property
     def flop_estimate(self) -> float:

@@ -1,17 +1,33 @@
-"""Vectorized mixed-radix Cooley-Tukey FFT.
+"""Vectorized mixed-radix FFT as a four-step recursion.
 
-The transform is computed by a decimation-in-time recursion that is fully
-vectorized over a batch of rows: at each stage a size-``n`` problem is
-split into ``r`` interleaved size-``n/r`` subproblems (``r`` a small prime
-or 4), the subresults are twiddled and recombined with a dense ``r``-point
-DFT.  All stage constants (radix path, twiddle tables, butterfly
-matrices) are precomputed by :class:`StagePlan` so repeated execution does
-no trigonometry.
+A size ``n`` transform is compiled into a *program*: a list of codelet
+sizes whose product is ``n``.  One level of the program splits
+``n = n1 * n2`` with ``n1`` its codelet and runs the four-step
+algorithm on the whole batch at once:
+
+1. copy-transpose the input to ``(batch, n2, n1)``;
+2. apply the ``n1``-point DFT to every row as one matrix product with
+   the cached :func:`~repro.fft.dftmat.dft_matrix`;
+3. multiply by the ``(n2, n1)`` twiddle table in place;
+4. run the ``n2``-point transform on the transposed rows the same way,
+   recursively, and write the final transpose into the output.
+
+The last level is a bare codelet product.  Each level costs a handful of
+whole-batch passes and a fixed number of numpy calls, whatever the batch.
+
+**Batch independence.**  Every row of the result is bitwise independent
+of the batch it was transformed in (its size and the row's position,
+one-row batches included): transposes, twiddles and copies are
+elementwise, and :func:`~repro.fft.dftmat.apply_codelet` issues every
+product as GEMMs whose per-row summation order does not depend on the
+row count.  The pipelines rely on this to transform a whole slab in one
+call (``tests/fft/test_properties.py::test_batch_rows_independent``).
 
 Radix paths are *policies*: the same size can be factorized
-smallest-prime-first, largest-first, or with pairs of 2s fused into
-radix-4 stages.  The planner (:mod:`repro.fft.plan`) times the candidate
-policies under ``MEASURE``/``PATIENT`` flags, mirroring FFTW's planner.
+smallest-prime-first, largest-first, or with 2s fused into radix-4 or
+radix-8 codelets.  The planner (:mod:`repro.fft.plan`) ranks the policies
+by :attr:`StagePlan.flop_estimate` under ``ESTIMATE`` and times them
+under ``MEASURE``/``PATIENT``, mirroring FFTW's planner.
 """
 
 from __future__ import annotations
@@ -22,10 +38,16 @@ import numpy as np
 
 from ..errors import PlanError
 from ..util.intmath import prime_factors
-from .dftmat import DIRECT_MAX, FORWARD, dft_matrix, twiddles
+from .dftmat import DIRECT_MAX, FORWARD, apply_codelet, dft_matrix, twiddles
 
 #: Factorization policies understood by :func:`radix_path`.
 POLICIES = ("small-first", "large-first", "radix4", "radix8")
+
+#: Largest tail merged into one dense base codelet.  Every level costs
+#: four whole-batch passes besides its product, and a 16-point product
+#: costs little more per point than an 8-point one, so fewer, larger
+#: codelets win.
+BASE_MAX = 16
 
 
 def radix_path(n: int, policy: str = "small-first") -> list[int]:
@@ -54,55 +76,61 @@ def radix_path(n: int, policy: str = "small-first") -> list[int]:
     raise PlanError(f"unknown radix policy {policy!r}; choose from {POLICIES}")
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """Precomputed constants for one recursion level."""
+def codelet_program(n: int, policy: str = "small-first") -> list[int]:
+    """Codelet sizes, outermost first, that :class:`StagePlan` runs for ``n``.
 
-    n: int          # problem size entering this stage
-    r: int          # radix
-    m: int          # n // r
-    tw: np.ndarray  # (r, m) twiddle table
-    wr: np.ndarray  # (r, r) butterfly DFT matrix
+    Radices are peeled off :func:`radix_path` until the rest is at most
+    ``BASE_MAX`` (or is a single radix no larger than ``DIRECT_MAX``); the
+    rest becomes one dense base codelet.  ``n == 1`` compiles to the
+    empty program.
+    """
+    program: list[int] = []
+    size = n
+    for r in radix_path(n, policy):
+        if size <= BASE_MAX or (r == size and size <= DIRECT_MAX):
+            break
+        program.append(r)
+        size //= r
+    if size > 1:
+        program.append(size)
+    return program
+
+
+@dataclass(frozen=True)
+class _Level:
+    """Precomputed constants for one four-step level."""
+
+    n1: int                 # codelet size applied at this level
+    n2: int                 # size of the remaining transform (1 = last)
+    w: np.ndarray           # (n1, n1) codelet DFT matrix
+    tw: np.ndarray | None   # (n2, n1) twiddle table (None on the last level)
 
 
 @dataclass
 class StagePlan:
     """Precomputed mixed-radix execution plan for one (size, sign, policy).
 
-    ``execute`` transforms the last axis of a ``(batch, n)`` array.  The
-    recursion is iterative from the caller's point of view: the stage list
-    is walked inward (splitting) and back outward (combining).
+    ``execute`` transforms the last axis of a ``(..., n)`` array.
     """
 
     n: int
     sign: int = FORWARD
     policy: str = "small-first"
-    stages: list[_Stage] = field(init=False, repr=False)
-    base: np.ndarray | None = field(init=False, repr=False)
-    base_n: int = field(init=False)
+    program: list[int] = field(init=False)
+    levels: list[_Level] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        path = radix_path(self.n, self.policy)
-        stages: list[_Stage] = []
+        self.program = codelet_program(self.n, self.policy)
+        levels = []
         size = self.n
-        # Peel stages until the remaining subproblem is small enough for a
-        # direct dense DFT, or fully reduced.
-        for r in path:
-            if size <= 8 or (r == size and size <= DIRECT_MAX):
-                break
-            stages.append(
-                _Stage(
-                    n=size,
-                    r=r,
-                    m=size // r,
-                    tw=twiddles(size, r, self.sign),
-                    wr=dft_matrix(r, self.sign),
-                )
-            )
-            size //= r
-        self.stages = stages
-        self.base_n = size
-        self.base = dft_matrix(size, self.sign).T if size > 1 else None
+        for n1 in self.program:
+            n2 = size // n1
+            levels.append(_Level(
+                n1, n2, dft_matrix(n1, self.sign),
+                twiddles(size, n2, self.sign) if n2 > 1 else None,
+            ))
+            size = n2
+        self.levels = levels
 
     # -- execution -----------------------------------------------------
 
@@ -115,35 +143,40 @@ class StagePlan:
             raise PlanError(
                 f"plan is for size {self.n}, input last axis is {x.shape[-1]}"
             )
-        lead = x.shape[:-1]
         flat = np.ascontiguousarray(x, dtype=np.complex128).reshape(-1, self.n)
-        out = self._run(flat, 0)
-        return out.reshape(*lead, self.n)
+        out = self._run(flat, 0) if self.levels else flat.copy()
+        return out.reshape(x.shape)
 
     def _run(self, x: np.ndarray, depth: int) -> np.ndarray:
-        """Recursive worker on a ``(B, size)`` array at stage ``depth``."""
-        if depth == len(self.stages):
-            if self.base is None:
-                return x
-            return x @ self.base
-        st = self.stages[depth]
-        b = x.shape[0]
-        # Decimate in time: row s of the (r, m) view is x[s::r].
-        xs = x.reshape(b, st.m, st.r).transpose(0, 2, 1).reshape(b * st.r, st.m)
-        sub = self._run(xs, depth + 1).reshape(b, st.r, st.m)
-        sub = sub * st.tw  # twiddle each decimated subtransform
-        if st.r == 2:
-            # Explicit butterfly: cheaper than einsum for the common radix.
-            top = sub[:, 0, :] + sub[:, 1, :]
-            bot = sub[:, 0, :] - sub[:, 1, :]
-            out = np.concatenate((top, bot), axis=1)
-        else:
-            out = np.einsum("ks,bsj->bkj", st.wr, sub).reshape(b, st.n)
-        return out
+        """Four-step worker on a ``(rows, size)`` array at level ``depth``."""
+        lv = self.levels[depth]
+        if lv.tw is None:
+            return apply_codelet(x, lv.w)
+        n1, n2 = lv.n1, lv.n2
+        rows = x.shape[0]
+        # x[r, j1*n2 + j2] -> t[r, j2, j1]
+        t = np.empty((rows, n2, n1), dtype=np.complex128)
+        np.copyto(t, x.reshape(rows, n1, n2).transpose(0, 2, 1))
+        u = apply_codelet(t.reshape(rows * n2, n1), lv.w).reshape(rows, n2, n1)
+        u *= lv.tw
+        # u[r, j2, k1] -> t[r, k1, j2]: the n2-point transforms' rows
+        t = t.reshape(rows, n1, n2)
+        np.copyto(t, u.transpose(0, 2, 1))
+        c = self._run(t.reshape(rows * n1, n2), depth + 1)
+        # X[r, k1 + n1*k2] = c[r, k1, k2]; u's buffer is free again
+        np.copyto(u, c.reshape(rows, n1, n2).transpose(0, 2, 1))
+        return u.reshape(rows, n1 * n2)
 
     # -- cost metadata ---------------------------------------------------
 
     @property
     def flop_estimate(self) -> float:
-        """Classic ``5 n log2 n`` floating-point-operation estimate."""
-        return 5.0 * self.n * np.log2(max(self.n, 2))
+        """Real flops of the compiled program for one transform.
+
+        Each level's codelet products cost ``n * n1`` complex
+        multiply-adds (8 flops each) and each level but the last
+        multiplies all ``n`` points by a twiddle (6 flops each).
+        """
+        products = sum(8.0 * self.n * n1 for n1 in self.program)
+        twiddle = 6.0 * self.n * max(len(self.program) - 1, 0)
+        return products + twiddle

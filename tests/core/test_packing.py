@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from repro.core.packing import (
     ffty_pack_real,
+    ffty_pack_real_subtiled,
     pack_cost,
     subtile_classes,
     unpack_cost,
     unpack_fftx_real,
+    unpack_fftx_real_subtiled,
     untiled_copy_cost,
 )
 from repro.errors import ParameterError
@@ -99,32 +101,39 @@ class TestPackReal:
         tz, nxl, ny = 5, 4, 9
         tile = RNG.standard_normal((tz, nxl, ny)) + 0j
         y_counts = [4, 3, 2]
-        got = ffty_pack_real(tile, IDENT, y_counts, px, pz, "zxy")
+        got = ffty_pack_real(tile, y_counts, "zxy")
+        walk = ffty_pack_real_subtiled(tile, IDENT, y_counts, px, pz, "zxy")
         ref = reference_chunks(tile, y_counts)
-        for g, r in zip(got, ref):
+        for g, w, r in zip(got, walk, ref):
             assert np.array_equal(g, r)
+            assert np.array_equal(w, r)
 
     def test_xzy_layout(self):
         nxl, tz, ny = 4, 5, 6
         tile = RNG.standard_normal((nxl, tz, ny)) + 0j
         y_counts = [3, 3]
-        got = ffty_pack_real(tile, IDENT, y_counts, 2, 2, "xzy")
+        got = ffty_pack_real(tile, y_counts, "xzy")
         ref = reference_chunks(np.ascontiguousarray(tile.transpose(1, 0, 2)), y_counts)
         for g, r in zip(got, ref):
             assert np.array_equal(g, r)
 
     def test_ffty_applied_before_packing(self):
+        # The sub-tile walk (the oracle) runs FFTy itself; the mover packs
+        # rows the pipeline's whole-slab FFTy already transformed.
         tile = RNG.standard_normal((2, 2, 8)) + 0j
-        got = ffty_pack_real(tile, lambda a: np.fft.fft(a, axis=-1), [8], 2, 2, "zxy")
-        assert np.allclose(got[0], np.fft.fft(tile, axis=-1), atol=1e-10)
+        fft = lambda a: np.fft.fft(a, axis=-1)  # noqa: E731
+        walk = ffty_pack_real_subtiled(tile, fft, [8], 2, 2, "zxy")
+        assert np.allclose(walk[0], np.fft.fft(tile, axis=-1), atol=1e-10)
+        got = ffty_pack_real(fft(tile), [8], "zxy")
+        assert np.array_equal(got[0], walk[0])
 
     def test_bad_layout_rejected(self):
         with pytest.raises(ParameterError):
-            ffty_pack_real(np.zeros((2, 2, 2), complex), IDENT, [2], 1, 1, "abc")
+            ffty_pack_real(np.zeros((2, 2, 2), complex), [2], "abc")
 
     def test_mismatched_y_counts_rejected(self):
         with pytest.raises(ParameterError):
-            ffty_pack_real(np.zeros((2, 2, 4), complex), IDENT, [3], 1, 1, "zxy")
+            ffty_pack_real(np.zeros((2, 2, 4), complex), [3], "zxy")
 
 
 class TestUnpackReal:
@@ -136,27 +145,37 @@ class TestUnpackReal:
         chunks = [
             RNG.standard_normal((tz, nxl_s, nyl)) + 0j for nxl_s in x_counts
         ]
-        out = unpack_fftx_real(chunks, IDENT, x_counts, nyl, uy, uz, layout)
         # Oracle: concatenate chunk x-slabs and permute.
         full = np.concatenate(chunks, axis=1)  # (tz, nx, nyl)
         if layout == "zyx":
             ref = full.transpose(0, 2, 1)
         else:
             ref = full.transpose(2, 0, 1)
+        out = unpack_fftx_real(chunks, x_counts, np.empty_like(ref), layout)
         assert np.array_equal(out, ref)
+        walk = unpack_fftx_real_subtiled(
+            chunks, IDENT, x_counts, nyl, uy, uz, layout
+        )
+        assert np.array_equal(walk, ref)
 
     def test_fftx_applied_after_unpack(self):
+        # The sub-tile walk (the oracle) runs FFTx itself; the mover only
+        # assembles the tile the pipeline's whole-slab FFTx transforms.
         chunks = [RNG.standard_normal((2, 4, 3)) + 0j]
-        got = unpack_fftx_real(
-            chunks, lambda a: np.fft.fft(a, axis=-1), [4], 3, 2, 2, "zyx"
-        )
+        fft = lambda a: np.fft.fft(a, axis=-1)  # noqa: E731
+        walk = unpack_fftx_real_subtiled(chunks, fft, [4], 3, 2, 2, "zyx")
         ref = np.fft.fft(chunks[0].transpose(0, 2, 1), axis=-1)
-        assert np.allclose(got, ref, atol=1e-10)
+        assert np.allclose(walk, ref, atol=1e-10)
+        got = unpack_fftx_real(
+            chunks, [4], np.empty((2, 3, 4), complex), "zyx"
+        )
+        assert np.array_equal(fft(got), walk)
 
     def test_bad_layout_rejected(self):
         with pytest.raises(ParameterError):
             unpack_fftx_real(
-                [np.zeros((1, 1, 1), complex)], IDENT, [1], 1, 1, 1, "wat"
+                [np.zeros((1, 1, 1), complex)], [1],
+                np.zeros((1, 1, 1), complex), "wat",
             )
 
 
@@ -175,11 +194,13 @@ class TestPackUnpackRoundTrip:
 
         tile = RNG.standard_normal((tz, nxl, ny)) + 0j
         y_counts = slab_counts(ny, p)
-        chunks = ffty_pack_real(tile, IDENT, y_counts, 2, 2, "zxy")
+        chunks = ffty_pack_real(tile, y_counts, "zxy")
         # Single-source unpack of each destination chunk reproduces the
         # tile slice, transposed.
         y0 = 0
         for d, nyl in enumerate(y_counts):
-            out = unpack_fftx_real([chunks[d]], IDENT, [nxl], nyl, 2, 2, "zyx")
+            out = unpack_fftx_real(
+                [chunks[d]], [nxl], np.empty((tz, nyl, nxl), complex), "zyx"
+            )
             assert np.array_equal(out, tile[:, :, y0 : y0 + nyl].transpose(0, 2, 1))
             y0 += nyl

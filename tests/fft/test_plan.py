@@ -19,7 +19,9 @@ from repro.fft import (
     irfft,
     rfft,
 )
+from repro.fft import plan as planmod
 from repro.fft.plan import _candidates
+from repro.fft.stockham import POLICIES, StagePlan
 from repro.fft.transpose import (
     bytes_moved,
     plane_transpose,
@@ -123,6 +125,53 @@ class TestWisdom:
         w.record(8, FORWARD, "estimate", "direct")
         w.forget()
         assert len(w) == 0 and w.lookup(8, FORWARD, "estimate") is None
+
+    def test_unknown_descriptor_is_a_miss(self):
+        # An imported policy this planner does not know used to make
+        # Plan1D raise; it is replanned and the entry overwritten.
+        w = WisdomStore()
+        w.import_json('[{"n": 64, "sign": -1, "level": "estimate",'
+                      ' "kernel": "mixed:radix16"}]')
+        plan = Plan1D(64, flag=Flag.ESTIMATE, wisdom=w)
+        assert plan.kernel_name in _candidates(64)
+        assert w.lookup(64, FORWARD, "estimate") == plan.kernel_name
+        x = csig(3, 64)
+        assert np.allclose(plan.execute(x), np.fft.fft(x), atol=1e-10)
+
+    def test_direct_above_limit_is_a_miss(self):
+        # "direct" is offered only up to DIRECT_MAX; for n=128 it would
+        # silently plan an O(n^2) kernel.
+        w = WisdomStore()
+        w.record(128, FORWARD, "estimate", "direct")
+        plan = Plan1D(128, flag=Flag.ESTIMATE, wisdom=w)
+        assert plan.kernel_name != "direct"
+        assert plan.kernel_name in _candidates(128)
+        assert w.lookup(128, FORWARD, "estimate") == plan.kernel_name
+
+
+class TestEstimate:
+    def test_flop_estimate_counts_the_program(self):
+        # [2, 2, 16]: three codelet products, two twiddle passes
+        sp = StagePlan(64, FORWARD, "small-first")
+        assert sp.program == [2, 2, 16]
+        assert sp.flop_estimate == 8 * 64 * (2 + 2 + 16) + 6 * 64 * 2
+
+    def test_policies_no_longer_tie(self):
+        costs = {p: StagePlan(64, FORWARD, p).flop_estimate for p in POLICIES}
+        assert len(set(costs.values())) > 1
+        plan = Plan1D(64, flag=Flag.ESTIMATE, wisdom=WisdomStore())
+        assert plan.kernel_name == "mixed:" + min(costs, key=costs.get)
+        assert plan.kernel_name != "mixed:small-first"
+
+    def test_ties_break_by_name_not_list_order(self, monkeypatch):
+        # radix4 ([4, 8]) and radix8 ([8, 4]) cost the same for n = 32
+        assert (StagePlan(32, FORWARD, "radix4").flop_estimate
+                == StagePlan(32, FORWARD, "radix8").flop_estimate)
+        names = _candidates(32)
+        for order in (names, names[::-1]):
+            monkeypatch.setattr(planmod, "_candidates", lambda n, o=order: o)
+            plan = Plan1D(32, flag=Flag.ESTIMATE, wisdom=WisdomStore())
+            assert plan.kernel_name == "mixed:radix4"
 
 
 class TestTranspose:

@@ -6,6 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fft import BACKWARD, FORWARD, Plan1D, fft, ifft
+from repro.fft.dftmat import DIRECT_MAX
+from repro.fft.plan import _cached_kernel
+from repro.fft.stockham import POLICIES
+from repro.util.intmath import prime_factors
 
 sizes = st.integers(1, 256)
 
@@ -78,11 +82,32 @@ def test_forward_backward_matrices_inverse(n):
     assert np.allclose(back, eye, atol=1e-8 * max(n, 8))
 
 
-@given(st.integers(1, 64), st.integers(1, 6), st.integers(0, 2**31 - 1))
+def every_kernel(n: int):
+    """One kernel of each family for size ``n``: direct, every mixed-radix
+    policy, Bluestein (whether or not the planner would offer it)."""
+    names = ["direct"] + [f"mixed:{p}" for p in POLICIES] + ["bluestein"]
+    if max(prime_factors(n), default=1) > DIRECT_MAX:
+        names = [d for d in names if not d.startswith("mixed:")]
+    return [(d, _cached_kernel(d, n, FORWARD)) for d in names]
+
+
+@given(
+    st.integers(1, 70),
+    st.sampled_from([1, 2, 3, 6, 65, 300]),
+    st.integers(0, 2**31 - 1),
+)
 @settings(max_examples=30, deadline=None)
 def test_batch_rows_independent(n, batch, seed):
-    """Transforming a batch equals transforming each row separately."""
+    """Transforming a batch equals transforming each row separately,
+    bitwise, for every kernel family and one-row batches included: the
+    property that lets the pipelines transform a whole slab in one call."""
     x = signal(seed, batch, n)
-    whole = fft(x)
-    rows = np.stack([fft(x[i : i + 1])[0] for i in range(batch)])
-    assert np.allclose(whole, rows, atol=1e-9 * max(n, 8))
+    rows = range(batch) if batch <= 6 else (0, 1, batch // 2, batch - 1)
+    kernels = every_kernel(n) + [("plan", Plan1D(n))]
+    for name, kern in kernels:
+        whole = kern.execute(x)
+        for i in rows:
+            assert np.array_equal(kern.execute(x[i : i + 1])[0], whole[i]), (
+                name, i)
+        # the same rows at other positions of a smaller batch
+        assert np.array_equal(kern.execute(x[1:]), whole[1:]), name

@@ -43,7 +43,13 @@ against the committed baseline and enforces two kinds of bounds:
   steady-state *wall* throughput only guards catastrophic slowdowns:
   it may not drop below ``1 / --wall-tol`` of the committed baseline
   (throughput is inverse wall, so the cross-host slack applies
-  reciprocally).  A missing ``BENCH_apps.json`` skips the checks.
+  reciprocally).  Its 1-D kernel phase is held to two more bounds:
+  exactly one kernel call per axis, rank and transform in an app step
+  (the whole-slab FFT passes; a per-tile call creeping back shows up as
+  a count, not a timing), and ``Plan1D.execute`` at most
+  ``KERNEL_VS_NUMPY_MAX`` times ``numpy.fft`` at the same call shapes
+  (a same-run ratio, so it transfers across hosts).  A missing
+  ``BENCH_apps.json`` skips the checks.
 
 The baseline is read from ``git show HEAD:BENCH_smoke.json`` when
 available (so running the guard after regenerating the file still
@@ -59,6 +65,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: ceiling on BENCH_apps.json's kernel_vs_numpy (Plan1D.execute over
+#: numpy.fft at the pipeline's call shapes, best-of-N in one run)
+KERNEL_VS_NUMPY_MAX = 4.0
 
 COUNTERS = (
     "scheduler_handoffs",
@@ -210,6 +220,25 @@ def main(argv=None) -> int:
             failures.append(
                 f"warm-plan steady throughput regressed: {tps} < "
                 f"{base_tps} / {args.wall_tol:g}"
+            )
+        # 4. exact: one kernel call per axis, rank and transform.
+        kernel = apps.get("kernel", {})
+        calls = kernel.get("kernel_calls_per_step")
+        want = 3 * kernel.get("p", 0) * kernel.get("transforms_per_step", 0)
+        status = "OK" if calls == want and want else "FAIL"
+        print(f"{status}: apps kernel calls per step: {calls} "
+              f"(exactly {want}: one per axis, rank and transform)")
+        if status == "FAIL":
+            failures.append(f"kernel calls per step {calls} != {want}")
+        # 5. same-run ratio: the 1-D kernels against numpy.fft.
+        ratio = kernel.get("kernel_vs_numpy", float("inf"))
+        status = "OK" if ratio <= KERNEL_VS_NUMPY_MAX else "FAIL"
+        print(f"{status}: apps Plan1D.execute vs numpy.fft: {ratio}x "
+              f"(ceiling {KERNEL_VS_NUMPY_MAX:g}x)")
+        if ratio > KERNEL_VS_NUMPY_MAX:
+            failures.append(
+                f"1-D kernels {ratio}x numpy.fft, above "
+                f"{KERNEL_VS_NUMPY_MAX:g}x"
             )
         print(f"apps baseline: {apps_base_src}")
     else:
