@@ -25,8 +25,6 @@ legend.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from ..errors import ParameterError
@@ -88,16 +86,15 @@ class ParallelFFT3D:
         self.output_layout = "yzx" if self.use_fast_transpose else "zyx"
         self.tiles = self.dec.tile_ranges(self.params.T)
         self._plans: dict[str, Plan1D] = {}
-        #: tracing active for this run? (checked once; per-tile attr
-        #: dicts are only built when a repro.obs tracer is installed)
-        self._obs = ctx.engine.tracer is not None
+        #: per-tile trace attrs wanted?  Only when a repro.obs tracer is
+        #: installed *and* this rank records events to attach them to
+        #: (``rank_spans=False`` tracers record none).
+        self._obs = (ctx.engine.tracer is not None
+                     and ctx.engine.ranks[ctx.rank].trace.events is not None)
         #: tz -> (ffty, pack, unpack, fftx) step seconds; every tile but
         #: the last shares one tz, so the cost model runs twice per plan
         #: instead of four times per tile
         self._phase_cache: dict[int, tuple[float, float, float, float]] = {}
-        #: requests posted but not yet waited on (FIFO), replacing the
-        #: per-call O(tiles) scan the test-budget split used to do
-        self._live: list[AlltoallRequest] = []
 
     # -- lazily planned 1-D kernels (real mode only) -----------------------
 
@@ -230,94 +227,83 @@ class ParallelFFT3D:
             # Virtual time is still charged per tile, in the loop.
             data = self._plan("y", ny).execute(data)
             out = self._alloc_output()
-        reqs: list[AlltoallRequest | None] = [None] * k
-        recv: list[Any] = [None] * k
-        chunks: list[Any] = [None] * k
 
-        live = self._live = []  # posted-but-unwaited window, FIFO
-        fast = not real and not self._obs
-        if fast:
-            # Virtual-mode hot loop: the per-tile helper methods below
-            # reduce to phase advances + post/wait once there is no
-            # payload and no tracer, so they are inlined here with the
-            # loop-invariant lookups hoisted.  Identical label sequence,
-            # budgets and request traffic as the helper path (the
-            # backend-equivalence and pipeline tests pin this).
-            pps = ctx.progress_phases
-            ialltoall = self.comm.ialltoall
-            co_wait = self.comm.co_wait
-            # At most two distinct tile heights (full tiles + remainder),
-            # so resolve times, count vectors, and the two fused phase
-            # batches (FFTy+Pack before the post, Unpack+FFTx after the
-            # wait) once per height up front.
-            by_tz: dict[int, tuple] = {}
-            info = []
-            for z0, z1 in self.tiles:
-                tz = z1 - z0
-                entry = by_tz.get(tz)
-                if entry is None:
-                    t_ffty, t_pack, t_unpack, t_fftx = self._phase_times(tz)
-                    entry = (
-                        ((t_ffty, P.Fy, "FFTy"), (t_pack, P.Fp, "Pack")),
-                        ((t_unpack, P.Fu, "Unpack"), (t_fftx, P.Fx, "FFTx")),
-                        self.dec.sendcounts_bytes(tz),
-                        self.dec.recvcounts_bytes(tz),
-                    )
-                    by_tz[tz] = entry
-                info.append(entry)
-            if self.spec.overlap and P.W > 0:
-                w = min(P.W, k)
-                for i in range(k + w):
-                    if i < k:
-                        pre, _, send, recvc = info[i]
-                        pps(pre, live)
-                    if i >= w:
-                        recv[i - w] = yield from co_wait(reqs[i - w], label="Wait")
-                        live.pop(0)  # waits retire the window head in order
-                    if i < k:
-                        reqs[i] = req = ialltoall(send, recvc)
-                        live.append(req)
-                    if i >= w:
-                        pps(info[i - w][1], live)
-            else:
-                for i in range(k):
-                    pre, post_, send, recvc = info[i]
-                    pps(pre, live)
-                    reqs[i] = req = ialltoall(send, recvc)
-                    live.append(req)
-                    recv[i] = yield from co_wait(req, label="Wait")
-                    live.pop(0)
-                    pps(post_, live)
-            return None
+        # One entry per tile: the two fused phase batches (FFTy+Pack
+        # before the post, Unpack+FFTx after the wait), the count vectors
+        # and the two phases' trace attrs.  There are at most two tile
+        # heights (full tiles + remainder), so everything but the attrs
+        # is resolved once per height; untraced runs share its None pair.
+        by_tz: dict[int, tuple] = {}
+        info = []
+        for i, (z0, z1) in enumerate(self.tiles):
+            tz = z1 - z0
+            entry = by_tz.get(tz)
+            if entry is None:
+                t_ffty, t_pack, t_unpack, t_fftx = self._phase_times(tz)
+                entry = by_tz[tz] = (
+                    ((t_ffty, P.Fy, "FFTy"), (t_pack, P.Fp, "Pack")),
+                    ((t_unpack, P.Fu, "Unpack"), (t_fftx, P.Fx, "FFTx")),
+                    dec.sendcounts_bytes(tz),
+                    dec.recvcounts_bytes(tz),
+                    None,
+                    None,
+                )
+            if self._obs:
+                entry = entry[:4] + (
+                    {"tile": i, "tz": tz, "bytes": self._tile_bytes(tz)},
+                    {"tile": i, "tz": tz,
+                     "bytes": tz * dec.nyl * nx * ITEMSIZE},
+                )
+            info.append(entry)
 
+        pps = ctx.progress_phases
+        ialltoall = self.comm.ialltoall
+        co_wait = self.comm.co_wait
+        live: list[AlltoallRequest] = []  # posted-but-unwaited window, FIFO
+        chunk = None
         if self.spec.overlap and P.W > 0:
             w = min(P.W, k)
             for i in range(k + w):
                 if i < k:
-                    self._ffty_pack(i, data, chunks, reqs)
+                    pre, _, send, recvc, a_pre, _ = info[i]
+                    pps(pre, live, a_pre)
+                    if real:
+                        chunk = ffty_pack_real(self._tile_view(i, data),
+                                               dec.y_counts, self.tile_layout)
                 if i >= w:
-                    recv[i - w] = yield from self.comm.co_wait(
-                        reqs[i - w], label="Wait"
-                    )
-                    live.pop(0)  # waits retire the window head in order
+                    # waits retire the window head in order
+                    recv = yield from co_wait(live[0], label="Wait")
+                    del live[0]
                 if i < k:
-                    self._post(i, chunks, reqs)
+                    live.append(ialltoall(send, recvc, payload=chunk))
                 if i >= w:
-                    self._unpack_fftx(i - w, recv, reqs, out)
+                    _, post, _, _, _, a_post = info[i - w]
+                    pps(post, live, a_post)
+                    if real:
+                        unpack_fftx_real(recv, dec.x_counts,
+                                         self._out_view(i - w, out),
+                                         self.output_layout)
         else:
+            # blocking exchange: the window is empty whenever a phase runs
             for i in range(k):
-                self._ffty_pack(i, data, chunks, reqs)
-                self._post(i, chunks, reqs)
-                recv[i] = yield from self.comm.co_wait(reqs[i], label="Wait")
-                live.pop(0)
-                self._unpack_fftx(i, recv, reqs, out)
+                pre, post, send, recvc, a_pre, a_post = info[i]
+                pps(pre, live, a_pre)
+                if real:
+                    chunk = ffty_pack_real(self._tile_view(i, data),
+                                           dec.y_counts, self.tile_layout)
+                req = ialltoall(send, recvc, payload=chunk)
+                recv = yield from co_wait(req, label="Wait")
+                pps(post, live, a_post)
+                if real:
+                    unpack_fftx_real(recv, dec.x_counts, self._out_view(i, out),
+                                     self.output_layout)
 
         if real:
             # FFTx likewise once over the assembled output slab.
             out = self._plan("x", nx).execute(out)
         return out
 
-    # -- pipeline stages -----------------------------------------------------
+    # -- tile views -----------------------------------------------------------
 
     def _tile_view(self, i: int, data: np.ndarray) -> np.ndarray:
         z0, z1 = self.tiles[i]
@@ -330,48 +316,6 @@ class ParallelFFT3D:
         if self.output_layout == "zyx":
             return out[z0:z1]
         return out[:, z0:z1, :]
-
-    def _ffty_pack(self, i, data, chunks, reqs) -> None:
-        z0, z1 = self.tiles[i]
-        tz = z1 - z0
-        P = self.params
-        t_ffty, t_pack, _, _ = self._phase_times(tz)
-        a = {"tile": i, "tz": tz, "bytes": self._tile_bytes(tz)} if self._obs else None
-        self.ctx.progress_phase(t_ffty, self._live, P.Fy, "FFTy", attrs=a)
-        if data is not None:
-            chunks[i] = ffty_pack_real(
-                self._tile_view(i, data), self.dec.y_counts, self.tile_layout
-            )
-        self.ctx.progress_phase(t_pack, self._live, P.Fp, "Pack", attrs=a)
-
-    def _post(self, i, chunks, reqs) -> None:
-        z0, z1 = self.tiles[i]
-        tz = z1 - z0
-        reqs[i] = req = self.comm.ialltoall(
-            self.dec.sendcounts_bytes(tz),
-            self.dec.recvcounts_bytes(tz),
-            payload=chunks[i],
-        )
-        self._live.append(req)
-        chunks[i] = None  # buffer handed to the library
-
-    def _unpack_fftx(self, j, recv, reqs, out) -> None:
-        z0, z1 = self.tiles[j]
-        tz = z1 - z0
-        P = self.params
-        _, _, t_unpack, t_fftx = self._phase_times(tz)
-        a = None
-        if self._obs:
-            a = {"tile": j, "tz": tz,
-                 "bytes": tz * self.dec.nyl * self.shape.nx * ITEMSIZE}
-        self.ctx.progress_phase(t_unpack, self._live, P.Fu, "Unpack", attrs=a)
-        if out is not None:
-            unpack_fftx_real(
-                recv[j], self.dec.x_counts, self._out_view(j, out),
-                self.output_layout,
-            )
-        recv[j] = None
-        self.ctx.progress_phase(t_fftx, self._live, P.Fx, "FFTx", attrs=a)
 
     def _alloc_output(self) -> np.ndarray:
         if self.output_layout == "zyx":

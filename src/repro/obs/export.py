@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import repeat
 from pathlib import Path
 
 from .tracer import Span, Tracer, VIRTUAL, WALL
@@ -30,22 +31,36 @@ _PID_WALL = 2
 
 _RANK_TRACK = re.compile(r"^rank (\d+)$")
 
+#: name of the Chrome export's instant event carrying ``Tracer.summary()``
+_SUMMARY = "run summary"
+
 
 def emit_rank_spans(tracer: Tracer, traces, prefix: str = "rank") -> None:
     """Unify a simulated run's per-rank event timelines into the trace.
 
     ``traces`` is the engine's ``RankTrace`` list: each recorded
     ``(t0, t1, label)`` event becomes a virtual-time span on the rank's
-    track, carrying the per-event attrs (tile index, byte counts) the
-    instrumented pipeline attached.
+    track, carrying (a copy of) the per-event attrs (tile index, byte
+    counts) the instrumented pipeline attached.  Each rank's events are
+    appended in one pass, against the ``max_spans`` cap checked once per
+    rank; events past the cap count as :attr:`Tracer.dropped`, exactly
+    as one :meth:`Tracer.add_span` per event would count them.
     """
+    spans = tracer.spans
     for idx, tr in enumerate(traces):
-        if tr.events is None:
+        events = tr.events
+        if events is None:
             continue
-        attrs = tr.attrs if tr.attrs is not None else [None] * len(tr.events)
+        room = max(tracer.max_spans - len(spans), 0)
+        if len(events) > room:
+            tracer.dropped += len(events) - room
+            events = events[:room]
+        attrs = tr.attrs if tr.attrs is not None else repeat(None)
         track = f"{prefix} {idx}"
-        for (t0, t1, label), a in zip(tr.events, attrs):
-            tracer.add_span(track, label, t0, t1, VIRTUAL, a)
+        spans.extend([
+            Span(track, label, t0, t1, VIRTUAL, {} if a is None else dict(a))
+            for (t0, t1, label), a in zip(events, attrs)
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -53,50 +68,49 @@ def emit_rank_spans(tracer: Tracer, traces, prefix: str = "rank") -> None:
 # ---------------------------------------------------------------------------
 
 
-def chrome_events(tracer: Tracer) -> list[dict]:
-    """The trace as a Chrome ``traceEvents`` list (timestamps in µs)."""
-    events: list[dict] = []
-    tids: dict[tuple[int, str], int] = {}
-
-    def tid_for(pid: int, track: str) -> int:
+def _append_spans(events: list[dict], tids: dict[tuple[int, str], int],
+                  spans, virtual_pid: int, wall_pid: int) -> None:
+    """Append one complete (``"X"``) event per span, in the process
+    ``virtual_pid`` for virtual-clock spans and ``wall_pid`` otherwise,
+    naming each ``(pid, track)`` thread on first use.  Rank tracks keep
+    their rank id as tid so Perfetto sorts them numerically; other
+    tracks get ids past any sane rank."""
+    for sp in spans:
+        pid = virtual_pid if sp.clock == VIRTUAL else wall_pid
+        track = sp.track
         key = (pid, track)
-        if key not in tids:
+        tid = tids.get(key)
+        if tid is None:
             m = _RANK_TRACK.match(track)
-            # rank tracks keep their rank id as tid so Perfetto sorts
-            # them numerically; other tracks get ids past any sane rank.
-            tid = int(m.group(1)) if m else 100_000 + len(tids)
-            tids[key] = tid
+            tid = tids[key] = int(m.group(1)) if m else 100_000 + len(tids)
             events.append({
                 "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
                 "args": {"name": track},
             })
-        return tids[key]
+        t0 = sp.t0
+        ev = {"name": sp.name, "cat": sp.clock, "ph": "X", "ts": t0 * 1e6,
+              "dur": max(sp.t1 - t0, 0.0) * 1e6, "pid": pid, "tid": tid}
+        if sp.attrs:  # args are optional; Test and Wait spans carry none
+            ev["args"] = sp.attrs
+        events.append(ev)
 
-    for pid, name in (
-        (_PID_VIRTUAL, "simulation (virtual time)"),
-        (_PID_WALL, "driver (wall time)"),
-    ):
-        events.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": name},
-        })
 
-    for sp in tracer.spans:
-        pid = _PID_VIRTUAL if sp.clock == VIRTUAL else _PID_WALL
-        events.append({
-            "name": sp.name,
-            "cat": sp.clock,
-            "ph": "X",
-            "ts": sp.t0 * 1e6,
-            "dur": max(sp.duration, 0.0) * 1e6,
-            "pid": pid,
-            "tid": tid_for(pid, sp.track),
-            "args": sp.attrs,
-        })
+def _process_name(pid: int, name: str) -> dict:
+    return {"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
+            "args": {"name": name}}
+
+
+def chrome_events(tracer: Tracer) -> list[dict]:
+    """The trace as a Chrome ``traceEvents`` list (timestamps in µs)."""
+    events = [
+        _process_name(_PID_VIRTUAL, "simulation (virtual time)"),
+        _process_name(_PID_WALL, "driver (wall time)"),
+    ]
+    _append_spans(events, {}, tracer.spans, _PID_VIRTUAL, _PID_WALL)
     summary = tracer.summary()
     if summary:
         events.append({
-            "name": "run summary", "cat": "metrics", "ph": "I", "s": "g",
+            "name": _SUMMARY, "cat": "metrics", "ph": "I", "s": "g",
             "ts": 0.0, "pid": _PID_WALL, "tid": 0, "args": summary,
         })
     return events
@@ -111,13 +125,18 @@ def _prepare(path: str | Path) -> Path:
     return target
 
 
+def _write_chrome(path: str | Path, events: list[dict], meta: dict) -> int:
+    """Write a Chrome trace file as compact JSON (no ``indent``, so
+    ``json`` runs its C encoder); returns the event count."""
+    payload = {"traceEvents": events, "displayTimeUnit": "ms",
+               "otherData": meta}
+    _prepare(path).write_text(json.dumps(payload, separators=(",", ":")))
+    return len(events)
+
+
 def export_chrome(tracer: Tracer, path: str | Path) -> int:
     """Write the Chrome trace-event JSON file; returns the event count."""
-    events = chrome_events(tracer)
-    payload = {"traceEvents": events, "displayTimeUnit": "ms",
-               "otherData": dict(tracer.meta)}
-    _prepare(path).write_text(json.dumps(payload, indent=1))
-    return len(events)
+    return _write_chrome(path, chrome_events(tracer), dict(tracer.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -188,34 +207,19 @@ def fleet_chrome_events(spans_by_host: dict[str, list[dict]]) -> list[dict]:
     tids: dict[tuple[int, str], int] = {}
     for offset, host in enumerate(sorted(spans_by_host)):
         pid = 10 + offset
-        events.append({
-            "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-            "args": {"name": f"worker {host}"},
-        })
-        for rec in spans_by_host[host]:
-            track = str(rec.get("track", "worker"))
-            key = (pid, track)
-            if key not in tids:
-                m = _RANK_TRACK.match(track)
-                tids[key] = (int(m.group(1)) if m
-                             else 100_000 + len(tids))
-                events.append({
-                    "name": "thread_name", "ph": "M", "pid": pid,
-                    "tid": tids[key], "args": {"name": track},
-                })
-            t0 = float(rec["t0"])
-            t1 = float(rec.get("t1", t0))
-            events.append({
-                "name": str(rec.get("name", "?")),
-                "cat": rec.get("clock", WALL),
-                "ph": "X",
-                "ts": t0 * 1e6,
-                "dur": max(t1 - t0, 0.0) * 1e6,
-                "pid": pid,
-                "tid": tids[key],
-                "args": dict(rec.get("attrs") or {}),
-            })
+        events.append(_process_name(pid, f"worker {host}"))
+        _append_spans(events, tids, _record_spans(spans_by_host[host]),
+                      pid, pid)
     return events
+
+
+def _record_spans(records: list[dict]):
+    """Span wire records (:func:`span_records`) back as spans."""
+    for rec in records:
+        t0 = float(rec["t0"])
+        yield Span(str(rec.get("track", "worker")), str(rec.get("name", "?")),
+                   t0, float(rec.get("t1", t0)), rec.get("clock", WALL),
+                   dict(rec.get("attrs") or {}))
 
 
 def export_fleet_chrome(
@@ -224,11 +228,8 @@ def export_fleet_chrome(
     meta: dict | None = None,
 ) -> int:
     """Write the merged fleet Chrome trace; returns the event count."""
-    events = fleet_chrome_events(spans_by_host)
-    payload = {"traceEvents": events, "displayTimeUnit": "ms",
-               "otherData": dict(meta or {})}
-    _prepare(path).write_text(json.dumps(payload, indent=1))
-    return len(events)
+    return _write_chrome(path, fleet_chrome_events(spans_by_host),
+                         dict(meta or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +257,9 @@ def _load_jsonl(text: str) -> Tracer:
                 for v in rec["values"]:
                     tracer.observe(rec["name"], v)
             elif kind == "meta":
-                tracer.meta.update(
-                    {k: v for k, v in rec.items() if k not in ("kind",)}
-                )
+                tracer.dropped += int(rec.get("spans_dropped", 0))
+                tracer.meta.update({k: v for k, v in rec.items()
+                                    if k not in ("kind", "spans_dropped")})
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # a crash mid-write leaves a truncated final record; a
             # corrupted middle line is the same failure to the reader —
@@ -268,6 +269,16 @@ def _load_jsonl(text: str) -> Tracer:
                 f"{line[:80]!r}"
             ) from exc
     return tracer
+
+
+def _restore_summary(tracer: Tracer, summary: dict) -> None:
+    """Counters and the dropped-span count back from a run-summary event
+    (histograms survive only as their digests, so they stay out)."""
+    for name, value in summary.items():
+        if name == "spans_dropped":
+            tracer.dropped += int(value)
+        elif isinstance(value, (int, float)):
+            tracer.count(name, value)
 
 
 def _load_chrome(payload: dict) -> Tracer:
@@ -287,6 +298,8 @@ def _load_chrome(payload: dict) -> Tracer:
                     "", ev["name"], t0, t0 + ev.get("dur", 0.0) / 1e6,
                     clock, dict(ev.get("args") or {}),
                 )))
+            elif ev.get("ph") == "I" and ev.get("name") == _SUMMARY:
+                _restore_summary(tracer, ev.get("args") or {})
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(
             f"malformed Chrome trace event: {exc!r}"

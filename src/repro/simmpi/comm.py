@@ -133,25 +133,6 @@ class SimContext:
         if total_tests:
             advance(self.rank, total_tests * self._test_overhead, "Test")
 
-    def progress_phase(
-        self,
-        seconds: float,
-        live: Sequence[AlltoallRequest],
-        total: int,
-        label: str,
-        attrs: dict | None = None,
-    ) -> None:
-        """One pipeline phase: compute ``seconds`` while spreading a
-        ``total`` test budget over the ``live`` request window.
-
-        Semantically identical to ``compute_with_progress(seconds,
-        ParallelFFT3D._share_tests(live, total), label, attrs)`` — same
-        budget split, same progression, same two clock advances (phase
-        label, then aggregated Test overhead).  Thin wrapper over
-        :meth:`progress_phases`.
-        """
-        self.progress_phases(((seconds, total, label),), live, attrs)
-
     def progress_phases(
         self,
         phases: Sequence[tuple[float, int, str]],
@@ -171,10 +152,11 @@ class SimContext:
         with only their library-entry counter bumped, exactly as the
         skipped call would have done.  Accepting a phase *batch* lets the
         tile pipeline charge its back-to-back compute steps (FFTy+Pack,
-        Unpack+FFTx) in one call.  This runs twice per tile and dominates
-        pipeline overhead, hence the inlining; equivalence with the
-        unfused spelling is covered by tests/core/test_pipeline.py and
-        the backend-equivalence suite.
+        Unpack+FFTx) in one call, with one ``attrs`` for both.  This runs
+        twice per tile in every mode and dominates pipeline overhead,
+        hence the inlining; equivalence with the unfused spelling is
+        covered by tests/core/test_pipeline.py and the backend-equivalence
+        suite.
         """
         r = self._r
         stretch = self._cpu_stretch
@@ -545,9 +527,6 @@ class Communicator:
             self.fabric, op, self.rank, self.group, send, recv, payload,
             sendcounts_list=send_list, uniform_size=send_uniform,
         )
-        attrs = None
-        if self._tracer is not None:
-            attrs = {"send_bytes": int(send.sum()), "peers": self.size}
         ctx = self.ctx
         # Inlined Engine.advance(rank, post_cost, "Ialltoall", attrs):
         # same IEEE operations in the same order (see progress_phases).
@@ -563,7 +542,11 @@ class Communicator:
         if events is not None:
             events.append((t0, t1, "Ialltoall"))
             if trace.attrs is not None:
-                trace.attrs.append(attrs)
+                # attrs only for a tracer, and only when events are kept
+                trace.attrs.append(
+                    {"send_bytes": sum(send_list), "peers": self.size}
+                    if self._tracer is not None else None
+                )
         r.clock = t1
         req.post(t1)
         return req

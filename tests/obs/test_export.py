@@ -18,6 +18,7 @@ from repro.obs import (
     VIRTUAL,
     WALL,
     chrome_events,
+    emit_rank_spans,
     export_chrome,
     export_jsonl,
     load_trace,
@@ -156,3 +157,115 @@ def test_jsonl_loader_skips_blank_lines(tmp_path):
     )
     back = load_trace(path)
     assert len(back.spans) == 1 and back.meta["command"] == "x"
+
+
+@pytest.fixture(scope="module")
+def capped_run():
+    """A traced run whose span cap drops most of its rank spans."""
+    tracer = Tracer(rank_spans=True, meta={"command": "test"}, max_spans=100)
+    with tracing(tracer):
+        run_case("NEW", UMD_CLUSTER, ProblemShape(64, 64, 64, 4))
+    return tracer
+
+
+class TestTelemetryRoundTrip:
+    """Both loaders restore the counters and the dropped-span count."""
+
+    def test_capped_run_has_telemetry(self, capped_run):
+        assert len(capped_run.spans) == 100
+        assert capped_run.dropped == 532
+        assert len(capped_run.counters) == 4
+
+    @pytest.mark.parametrize("suffix", [".json", ".jsonl"])
+    def test_counters_and_dropped_survive(self, capped_run, tmp_path, suffix):
+        path = tmp_path / f"trace{suffix}"
+        write_trace(capped_run, path)
+        back = load_trace(path)
+        assert back.counters == capped_run.counters
+        assert back.dropped == capped_run.dropped
+        assert len(back.spans) == len(capped_run.spans)
+        assert back.meta == capped_run.meta  # spans_dropped is not meta
+
+    @pytest.mark.parametrize("suffix", [".json", ".jsonl"])
+    def test_rewrite_keeps_dropped_count(self, capped_run, tmp_path, suffix):
+        """``repro trace in --out out`` writes the count it read."""
+        from repro.cli import main
+
+        src, out = tmp_path / f"in{suffix}", tmp_path / f"out{suffix}"
+        write_trace(capped_run, src)
+        assert main(["trace", str(src), "--out", str(out)]) == 0
+        back = load_trace(out)
+        assert back.dropped == 532
+        assert back.counters == capped_run.counters
+
+    def test_histogram_digests_are_not_counters(self, tmp_path):
+        tr = Tracer()
+        tr.count("hits", 3)
+        tr.observe("wall", 0.5)
+        path = tmp_path / "t.json"
+        export_chrome(tr, path)
+        back = load_trace(path)
+        assert back.counters == {"hits": 3} and back.dropped == 0
+
+
+class TestCompactChrome:
+    def test_file_is_compact_json(self, traced_run, tmp_path):
+        tracer, _ = traced_run
+        path = tmp_path / "trace.json"
+        export_chrome(tracer, path)
+        text = path.read_text()
+        assert "\n" not in text
+        assert text == json.dumps(json.loads(text), separators=(",", ":"))
+
+    def test_attrs_round_trip_for_every_span(self, traced_run, tmp_path):
+        tracer, _ = traced_run
+        path = tmp_path / "trace.json"
+        export_chrome(tracer, path)
+        back = load_trace(path)
+        assert [(s.track, s.name, s.clock, s.attrs) for s in back.spans] == \
+               [(s.track, s.name, s.clock, s.attrs) for s in tracer.spans]
+
+    def test_spans_without_attrs_carry_no_args(self, traced_run):
+        tracer, _ = traced_run
+        xs = [e for e in chrome_events(tracer) if e["ph"] == "X"]
+        assert any(e["name"] == "Test" for e in xs)
+        for e in xs:
+            assert ("args" in e) == bool(e.get("args"))
+
+
+class TestEmitRankSpans:
+    def _traces(self):
+        from repro.simmpi.engine import RankTrace
+
+        shared = {"tile": 0}
+        return [
+            RankTrace(events=[(0.0, 1.0, "FFTy"), (1.0, 2.0, "Pack")],
+                      attrs=[shared, shared]),
+            RankTrace(),  # recorded nothing
+            RankTrace(events=[(0.0, 0.5, "Wait")], attrs=None),
+        ]
+
+    def test_spans_per_rank_track_with_copied_attrs(self):
+        tr = Tracer()
+        emit_rank_spans(tr, self._traces())
+        assert [(s.track, s.name, s.t0, s.t1, s.clock, s.attrs)
+                for s in tr.spans] == [
+            ("rank 0", "FFTy", 0.0, 1.0, VIRTUAL, {"tile": 0}),
+            ("rank 0", "Pack", 1.0, 2.0, VIRTUAL, {"tile": 0}),
+            ("rank 2", "Wait", 0.0, 0.5, VIRTUAL, {}),
+        ]
+        assert tr.spans[0].attrs is not tr.spans[1].attrs
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 5])
+    def test_cap_matches_one_add_span_per_event(self, cap):
+        batch, single = Tracer(max_spans=cap), Tracer(max_spans=cap)
+        traces = self._traces()
+        emit_rank_spans(batch, traces)
+        for idx, t in enumerate(traces):
+            if t.events is None:
+                continue
+            attrs = t.attrs if t.attrs is not None else [None] * len(t.events)
+            for (t0, t1, label), a in zip(t.events, attrs):
+                single.add_span(f"rank {idx}", label, t0, t1, VIRTUAL, a)
+        assert batch.spans == single.spans
+        assert batch.dropped == single.dropped

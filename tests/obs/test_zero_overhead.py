@@ -84,6 +84,57 @@ def test_pipeline_run_identical_under_tracing():
     assert traced.sim.breakdown() == base.sim.breakdown()
 
 
+class TestAttrsOnlyWhereRecorded:
+    """Per-tile and per-post attrs are built only when a tracer is
+    installed *and* the ranks record events to attach them to."""
+
+    SHAPE = ProblemShape(64, 64, 64, 4)
+
+    @staticmethod
+    def _prog(ctx, shape):
+        from repro.core.plan import ParallelFFT3D
+        from repro.core.variants import NEW, baseline_params
+
+        plan = ParallelFFT3D(ctx, shape, baseline_params(NEW, shape))
+        yield from plan.steps()
+        return plan._obs
+
+    def _run(self, tracer, record_events):
+        if tracer is None:
+            return run_spmd(4, self._prog, UMD_CLUSTER, self.SHAPE,
+                            record_events=record_events)
+        with tracing(tracer):
+            return run_spmd(4, self._prog, UMD_CLUSTER, self.SHAPE,
+                            record_events=record_events)
+
+    @pytest.mark.parametrize("tracer, record_events, want", [
+        (None, False, False),
+        (None, True, False),
+        (Tracer(rank_spans=False), False, False),  # sweep/grid --trace
+        (Tracer(rank_spans=False), True, True),
+        (Tracer(rank_spans=True), False, True),  # run --trace
+    ])
+    def test_attrs_built_only_for_recorded_events(self, tracer,
+                                                  record_events, want):
+        sim = self._run(tracer, record_events)
+        assert sim.results == [want] * 4
+        if record_events or (tracer is not None and tracer.rank_spans):
+            attrs = [a for t in sim.traces for a in t.attrs]
+            assert any(a is not None for a in attrs) == want
+        else:
+            assert all(t.attrs is None for t in sim.traces)
+
+    def test_recorded_attrs_with_tracer(self):
+        sim = self._run(Tracer(rank_spans=False), record_events=True)
+        events, attrs = sim.traces[0].events, sim.traces[0].attrs
+        by_label = {}
+        for (_t0, _t1, label), a in zip(events, attrs):
+            by_label.setdefault(label, a)
+        assert set(by_label["FFTy"]) == {"tile", "tz", "bytes"}
+        assert by_label["Ialltoall"] == {
+            "send_bytes": by_label["FFTy"]["bytes"], "peers": 4}
+
+
 def test_no_tracer_leaks_after_tracing_block():
     with tracing(Tracer()):
         pass

@@ -24,6 +24,12 @@ bench-smoke grid evaluated with the registry disabled
 (``set_enabled(False)``, every helper a no-op) vs enabled (the default;
 pool/scheduler counters land in a scoped registry).  The guard in
 ``tools/check_perf_smoke.py`` bounds that overhead at ≤5% of wall.
+
+A fourth times the **trace export**: ``write_trace`` of one traced
+single run's Chrome trace (``export_s``), divided by the untraced
+``run_case`` wall of the same problem measured interleaved with it
+(``export_vs_run``, a same-run ratio, so it carries across hosts;
+``tools/check_perf_smoke.py`` bounds it at ``EXPORT_VS_RUN_MAX``).
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -44,7 +51,7 @@ from repro.core.params import ProblemShape  # noqa: E402
 from repro.exec import evaluate_cells  # noqa: E402
 from repro.fft.wisdom import GLOBAL_WISDOM  # noqa: E402
 from repro.machine import UMD_CLUSTER  # noqa: E402
-from repro.obs import Tracer, tracing  # noqa: E402
+from repro.obs import Tracer, tracing, write_trace  # noqa: E402
 from repro.obs.registry import scoped_registry, set_enabled  # noqa: E402
 from repro.tuning.gridsearch import sweep_parameter  # noqa: E402
 
@@ -57,6 +64,8 @@ INNER = 20
 SMOKE_GRID = {"UMD-Cluster": [(4, 32), (8, 32)], "Hopper": [(4, 32)]}
 SMOKE_BUDGET = 6
 SMOKE_INNER = 10
+#: interleaved (untraced run, export) pairs timed by measure_export
+EXPORT_REPS = 20
 
 
 def single_run():
@@ -149,6 +158,34 @@ def measure_registry(repeats):
     }
 
 
+def measure_export():
+    """Best ``write_trace`` wall of one traced run's Chrome trace against
+    the best untraced ``run_case`` wall, timed in alternation."""
+    tracer = Tracer(rank_spans=True)
+    with tracing(tracer):
+        run_case("NEW", UMD_CLUSTER, SHAPE)
+    run_s = export_s = float("inf")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.json"
+        for _ in range(EXPORT_REPS):
+            t0 = time.perf_counter()
+            run_case("NEW", UMD_CLUSTER, SHAPE)
+            t1 = time.perf_counter()
+            write_trace(tracer, path)
+            t2 = time.perf_counter()
+            run_s, export_s = min(run_s, t1 - t0), min(export_s, t2 - t1)
+        nbytes = path.stat().st_size
+    return {
+        "workload": f"export: Chrome write_trace of one traced run "
+                    f"NEW N={SHAPE.nx} p={SHAPE.p}",
+        "spans": len(tracer.spans),
+        "bytes": nbytes,
+        "run_s": round(run_s, 5),
+        "export_s": round(export_s, 5),
+        "export_vs_run": round(export_s / run_s, 3),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=3,
@@ -174,13 +211,19 @@ def main(argv=None) -> int:
           f"on {registry['on_s']}s ({registry['overhead_pct']:+.1f}%, "
           f"{registry['samples_recorded']} samples)")
 
+    export = measure_export()
+    print(f"{export['workload']}: {export['export_s']}s for "
+          f"{export['spans']} spans, {export['export_vs_run']}x the "
+          f"untraced run ({export['run_s']}s)")
+
     payload = {
         "benchmark": "tracing + metrics-registry overhead, off vs on "
-                     "(best of repeats)",
+                     "(best of repeats), and trace export cost",
         "repeats": args.repeats,
         "host_cores": os.cpu_count(),
         "workloads": rows,
         "registry": registry,
+        "export": export,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"-> {args.out}")

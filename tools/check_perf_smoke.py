@@ -28,8 +28,11 @@ against the committed baseline and enforces two kinds of bounds:
   disabled vs enabled — must stay within ``--registry-tol`` percent
   (default 5%).  The registry's hot path is a handful of dict updates
   per pool item, so a breach means instrumentation crept into an inner
-  loop.  A missing ``BENCH_obs.json`` skips the check (the counter and
-  wall guards above never require it).
+  loop.  The same file's ``export`` measurement must keep
+  ``export_vs_run`` (one traced run's Chrome ``write_trace`` wall over
+  the untraced ``run_case`` wall, timed in alternation) at or below
+  ``EXPORT_VS_RUN_MAX``.  A missing ``BENCH_obs.json`` skips both
+  checks (the counter and wall guards above never require it).
 
 * **Application workloads** (DESIGN.md §5.15): when a fresh
   ``BENCH_apps.json`` (``tools/bench_apps.py``) is present, three
@@ -69,6 +72,10 @@ ROOT = Path(__file__).resolve().parents[1]
 #: ceiling on BENCH_apps.json's kernel_vs_numpy (Plan1D.execute over
 #: numpy.fft at the pipeline's call shapes, best-of-N in one run)
 KERNEL_VS_NUMPY_MAX = 4.0
+
+#: ceiling on BENCH_obs.json's export_vs_run (trace export wall over the
+#: untraced run wall of the same problem, same run)
+EXPORT_VS_RUN_MAX = 2.0
 
 COUNTERS = (
     "scheduler_handoffs",
@@ -159,11 +166,12 @@ def main(argv=None) -> int:
     obs_path = Path(args.obs)
     if obs_path.exists():
         try:
-            registry = json.loads(obs_path.read_text()).get("registry")
+            obs = json.loads(obs_path.read_text())
         except (OSError, ValueError) as exc:
             print(f"error: cannot read obs numbers {args.obs!r}: {exc}",
                   file=sys.stderr)
             return 2
+        registry = obs.get("registry")
         if registry is not None:
             pct = registry["overhead_pct"]
             status = "OK" if pct <= args.registry_tol else "FAIL"
@@ -174,6 +182,18 @@ def main(argv=None) -> int:
                 failures.append(
                     f"metrics registry overhead {pct:+.1f}% exceeds "
                     f"{args.registry_tol:g}% of bench-smoke wall"
+                )
+        export = obs.get("export")
+        if export is not None:
+            ratio = export["export_vs_run"]
+            status = "OK" if ratio <= EXPORT_VS_RUN_MAX else "FAIL"
+            print(f"{status}: trace export vs run: {ratio}x "
+                  f"(ceiling {EXPORT_VS_RUN_MAX:g}x, export "
+                  f"{export['export_s']}s run {export['run_s']}s)")
+            if ratio > EXPORT_VS_RUN_MAX:
+                failures.append(
+                    f"trace export {ratio}x the untraced run, above "
+                    f"{EXPORT_VS_RUN_MAX:g}x"
                 )
     else:
         print(f"skip: registry overhead ({args.obs} not present)")
