@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -52,8 +51,9 @@ from ..obs.registry import current_registry
 from ..obs.tracer import current_tracer
 from .config import DistConfig
 from .fleet import launch_workers
-from .protocol import PROTOCOL_VERSION, decode, encode
+from .protocol import PROTOCOL_VERSION
 from .queue import WorkQueue
+from .service import JsonHandler, JsonServer
 
 #: ``note(text)`` — one-line fleet status for the live progress ticker
 NoteFn = Callable[[str], None]
@@ -140,8 +140,8 @@ class Coordinator:
         self._t0 = config.clock()
         #: worker host id -> shipped span records (the fleet trace input)
         self._fleet_spans: dict[str, list[dict]] = {}
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        #: the HTTP plane while serving
+        self.http: JsonServer | None = None
         for name, help_ in (
             ("dist_leases_total", "Leases granted to workers."),
             ("dist_heartbeats_total", "Lease renewals received."),
@@ -154,46 +154,24 @@ class Coordinator:
         ):
             self.registry.inc(name, 0, help=help_)
 
-    def authorized(self, header: str | None) -> bool:
-        """Whether a request's ``Authorization`` header passes.  Always
-        true when no token is configured (auth disabled)."""
-        token = self.config.token
-        if not token:
-            return True
-        if header == f"Bearer {token}":
-            return True
-        self.registry.inc("dist_auth_rejects_total")
-        return False
-
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> str:
         """Bind and start serving in a daemon thread; returns the URL."""
-        handler = _make_handler(self)
-        self._server = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-dist-coordinator",
-            daemon=True,
-        )
-        self._thread.start()
+        self.http = JsonServer((self.config.host, self.config.port),
+                               _CoordinatorHandler.bind(self),
+                               "repro-dist-coordinator")
         return self.url
 
     @property
     def url(self) -> str:
-        if self._server is None:
+        if self.http is None:
             raise RuntimeError("coordinator not started")
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
+        return self.http.url
 
     def stop(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        if self.http is not None:
+            self.http.close()
 
     # -- endpoint logic (called from handler threads) ----------------------
 
@@ -487,77 +465,29 @@ class Coordinator:
         }
 
 
-def _make_handler(coord: Coordinator) -> type[BaseHTTPRequestHandler]:
-    """A handler class closed over one coordinator instance."""
+class _CoordinatorHandler(JsonHandler):
+    """The coordinator's routes (the base does auth, bodies, replies)."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    auth_metric = "dist_auth_rejects_total"
 
-        def log_message(self, format: str, *args: Any) -> None:
-            pass  # the progress ticker is the UI; no per-request spam
-
-        def _reply(self, payload: dict, code: int = 200) -> None:
-            raw = encode(payload)
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
-
-        def _reply_text(self, text: str, code: int = 200) -> None:
-            raw = text.encode("utf-8")
-            self.send_response(code)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            try:
-                if self.path == "/healthz":
-                    # before the auth gate: supervisor probes are
-                    # anonymous and the body leaks nothing sensitive
-                    code, payload = coord.handle_healthz()
-                    self._reply(payload, code)
-                elif not coord.authorized(self.headers.get("Authorization")):
-                    self._reply({"error": "unauthorized"}, 401)
-                elif self.path == "/config":
-                    self._reply(coord.job.descriptor())
-                elif self.path == "/status":
-                    self._reply(coord.handle_status())
-                elif self.path == "/metrics":
-                    self._reply_text(coord.metrics_text())
-                else:
-                    self._reply({"error": f"unknown path {self.path}"}, 404)
-            except Exception as exc:
-                self._reply({"error": str(exc)}, 500)
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            try:
-                if not coord.authorized(self.headers.get("Authorization")):
-                    self._reply({"error": "unauthorized"}, 401)
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                body = decode(self.rfile.read(length)) if length else {}
-                routes = {
-                    "/lease": coord.handle_lease,
-                    "/renew": coord.handle_renew,
-                    "/complete": coord.handle_complete,
-                    "/fail": coord.handle_fail,
-                }
-                handler = routes.get(self.path)
-                if handler is None:
-                    self._reply({"error": f"unknown path {self.path}"}, 404)
-                    return
-                self._reply(handler(body))
-            except ValueError as exc:
-                self._reply({"error": str(exc)}, 400)
-            except Exception as exc:
-                self._reply({"error": str(exc)}, 500)
-
-    return Handler
+    def route(self, body: dict | None) -> tuple[int, dict | str]:
+        coord = self.service
+        if body is not None:
+            routes = {
+                "/lease": coord.handle_lease,
+                "/renew": coord.handle_renew,
+                "/complete": coord.handle_complete,
+                "/fail": coord.handle_fail,
+            }
+            if self.path in routes:
+                return 200, routes[self.path](body)
+        elif self.path == "/config":
+            return 200, coord.job.descriptor()
+        elif self.path == "/status":
+            return 200, coord.handle_status()
+        elif self.path == "/metrics":
+            return 200, coord.metrics_text()
+        return 404, {"error": f"unknown path {self.path}"}
 
 
 def dist_map(

@@ -1,9 +1,18 @@
 """JSON-over-HTTP wire helpers shared by coordinator and worker.
 
-The protocol is deliberately tiny — five endpoints, JSON bodies, no
-dependencies beyond :mod:`urllib` — because the hard guarantees
-(determinism, idempotent completion, lease expiry) live in
-:mod:`repro.dist.queue` and the stores, not in the transport.
+The protocol is deliberately tiny — five endpoints, JSON bodies, the
+standard library only — because the hard guarantees (determinism,
+idempotent completion, lease expiry) live in :mod:`repro.dist.queue`
+and the stores, not in the transport.
+
+Transport: persistent HTTP/1.1.  :func:`call` and :func:`fetch_text`
+keep one :class:`http.client.HTTPConnection` per (thread, host, port)
+and reuse it across calls (at most :data:`POOL_SIZE` per thread; a
+forked child starts with none).  A reused connection the server has
+closed in the meantime (idle timeout, restart) fails before any
+response; it is reopened once, straight away, without backoff and
+without counting a retry.  The servers share one handler base,
+:mod:`repro.dist.service`.
 
 Endpoints (all responses are JSON objects):
 
@@ -43,11 +52,12 @@ checked — existing fleets keep working unchanged.
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import random
+import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Callable
 
 from ..errors import DistProtocolError, DistUnreachableError
@@ -91,12 +101,115 @@ def decode(raw: bytes) -> dict:
     return obj
 
 
-def _headers(token: str | None) -> dict[str, str]:
-    """Request headers, with the bearer token when one is in play."""
+#: pooled connections per thread; past this the least recently used closes
+POOL_SIZE = 8
+
+#: how a reused connection fails when the server closed it while idle
+#: (``RemoteDisconnected`` is a ``ConnectionResetError``)
+_STALE = (ConnectionResetError, BrokenPipeError)
+
+
+class _Pool(dict):
+    """One thread's connections by ``host:port``, least recently used
+    first; closes them when the exiting thread drops it."""
+
+    def __del__(self) -> None:
+        for conn in self.values():
+            conn.close()
+
+
+_pool = threading.local()
+
+
+def _reset_pool() -> None:
+    """Forget every pooled connection: a forked child must never write
+    to its parent's sockets."""
+    global _pool
+    _pool = threading.local()
+
+
+os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _exchange(base_url: str, method: str, path: str, body: bytes | None,
+              headers: dict, timeout: float) -> tuple[int, str, bytes]:
+    """One request over this thread's connection to ``base_url``;
+    returns ``(status, reason, body)``.
+
+    A reused connection that fails with :data:`_STALE` before any
+    response is reopened once, straight away.  Any other transport
+    failure closes the connection and propagates.
+    """
+    netloc, _, prefix = base_url.split("://", 1)[-1].partition("/")
+    target = ("/" + prefix).rstrip("/") + path
+    conns = getattr(_pool, "conns", None)
+    if conns is None:
+        conns = _pool.conns = _Pool()
+    conn = conns.pop(netloc, None)
+    reused = conn is not None
+    if conn is None:
+        conn = http.client.HTTPConnection(netloc, timeout=timeout)
+    else:
+        conn.timeout = timeout
+        conn.sock.settimeout(timeout)
+    try:
+        while True:
+            try:
+                conn.request(method, target, body, headers)
+                resp = conn.getresponse()
+                break
+            except _STALE:
+                if not reused:
+                    raise
+                reused = False
+                conn.close()
+        data = resp.read()
+    except BaseException:
+        conn.close()
+        raise
+    if resp.will_close:
+        conn.close()
+    else:
+        conns[netloc] = conn
+        if len(conns) > POOL_SIZE:
+            conns.pop(next(iter(conns))).close()
+    return resp.status, resp.reason, data
+
+
+def _request(base_url: str, path: str, body: bytes | None, timeout: float,
+             token: str | None, retries: int, backoff_s: float,
+             sleep: Callable[[float], None]) -> tuple[int, bytes]:
+    """The retry loop under :func:`call` and :func:`fetch_text`; returns
+    ``(status, body)`` of the first answer below 400."""
+    method = "GET" if body is None else "POST"
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    return headers
+    last: Exception | None = None
+    for attempt in range(retries + 1):
+        try:
+            status, reason, raw = _exchange(base_url, method, path, body,
+                                            headers, timeout)
+        except (http.client.HTTPException, OSError) as exc:
+            last = exc
+        else:
+            if status < 400:
+                return status, raw
+            try:
+                reason = decode(raw).get("error") or reason
+            except DistProtocolError:
+                pass
+            if status < 500:
+                raise DistProtocolError(f"{path} rejected ({status}): {reason}")
+            last = DistProtocolError(f"HTTP Error {status}: {reason}")
+        if attempt < retries:
+            _count_metric("proto_retries_total",
+                          help="Transport-level protocol retries.")
+            sleep(_backoff_delay(attempt, backoff_s))
+    raise DistUnreachableError(
+        f"coordinator unreachable at {base_url.rstrip('/') + path} "
+        f"after {retries + 1} attempt(s): {last}"
+    ) from last
 
 
 def fetch_text(
@@ -114,32 +227,12 @@ def fetch_text(
     (``repro top``, benchmark probes) that have their own cadence and
     treat a miss as "coordinator gone".  Callers that *do* want to ride
     out a restart blip pass ``retries > 0`` and get the same jittered
-    exponential backoff as :func:`call` (transient ``URLError``/5xx
+    exponential backoff as :func:`call` (transport failures and 5xx
     only; 4xx rejections raise immediately).
     """
-    url = base_url.rstrip("/") + path
-    last: Exception | None = None
-    for attempt in range(retries + 1):
-        req = urllib.request.Request(url, headers=_headers(token))
-        try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                return resp.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            if exc.code < 500:
-                raise DistProtocolError(
-                    f"{path} rejected ({exc.code}): {exc.reason}"
-                ) from exc
-            last = exc
-        except (urllib.error.URLError, ConnectionError, TimeoutError,
-                OSError) as exc:
-            last = exc
-        if attempt < retries:
-            _count_metric("proto_retries_total",
-                          help="Transport-level protocol retries.")
-            sleep(_backoff_delay(attempt, backoff_s))
-    raise DistUnreachableError(
-        f"coordinator unreachable at {url}: {last}"
-    ) from last
+    _, raw = _request(base_url, path, None, timeout, token, retries,
+                      backoff_s, sleep)
+    return raw.decode("utf-8")
 
 
 def call(
@@ -161,7 +254,8 @@ def call(
     idempotent, so a retried request is always safe, and the jitter
     keeps a fleet of clients knocked over by one restart from
     stampeding back in lockstep.  Each retry is counted on the current
-    metrics registry as ``proto_retries_total``.  Exhausting the budget
+    metrics registry as ``proto_retries_total``; the immediate reopen of
+    a stale pooled connection is not a retry.  Exhausting the budget
     raises :class:`~repro.errors.DistUnreachableError` (a
     :class:`~repro.errors.DistProtocolError` subclass); protocol-level
     rejections (4xx with a JSON ``error``) raise
@@ -171,37 +265,8 @@ def call(
     just the body — the plan server distinguishes 200 (warm hit) from
     202 (job enqueued) and its clients need to see which they got.
     """
-    url = base_url.rstrip("/") + path
     body = None if payload is None else encode(payload)
-    last: Exception | None = None
-    for attempt in range(retries + 1):
-        req = urllib.request.Request(
-            url,
-            data=body,
-            method="GET" if body is None else "POST",
-            headers=_headers(token),
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                out = decode(resp.read())
-                return (resp.status, out) if with_status else out
-        except urllib.error.HTTPError as exc:
-            detail = ""
-            try:
-                detail = decode(exc.read()).get("error", "")
-            except Exception:
-                pass
-            if exc.code < 500:
-                raise DistProtocolError(
-                    f"{path} rejected ({exc.code}): {detail or exc.reason}"
-                ) from exc
-            last = exc
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as exc:
-            last = exc
-        if attempt < retries:
-            _count_metric("proto_retries_total",
-                          help="Transport-level protocol retries.")
-            sleep(_backoff_delay(attempt, backoff_s))
-    raise DistUnreachableError(
-        f"coordinator unreachable at {url} after {retries + 1} attempt(s): {last}"
-    ) from last
+    status, raw = _request(base_url, path, body, timeout, token, retries,
+                           backoff_s, sleep)
+    out = decode(raw)
+    return (status, out) if with_status else out

@@ -54,13 +54,11 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any
 
 from ..bench.runner import CellResult, effective_budget
 from ..dist.config import DistConfig
-from ..dist.protocol import encode
+from ..dist.service import JsonHandler, JsonServer
 from ..errors import FaultSpecError
 from ..faults import injected_faults, parse_faults
 from ..machine.platforms import get_platform
@@ -246,8 +244,8 @@ class PlanServer:
         self._draining = False
         #: jobs replayed from the journal by the last :meth:`start`
         self.recovered_jobs = 0
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
+        #: the HTTP plane while serving
+        self.http: JsonServer | None = None
         for name, help_ in (
             ("serve_plan_hits_total",
              "Plan requests answered from a warm store."),
@@ -277,16 +275,8 @@ class PlanServer:
     def start(self) -> str:
         """Recover journaled jobs, then bind and serve; returns the URL."""
         self.recovered_jobs = self.recover()
-        handler = _make_handler(self)
-        self._server = ThreadingHTTPServer(
-            (self.config.host, self.config.port), handler
-        )
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="repro-serve",
-            daemon=True,
-        )
-        self._thread.start()
+        self.http = JsonServer((self.config.host, self.config.port),
+                               _PlanHandler.bind(self), "repro-serve")
         if self.config.announce is not None:
             self.config.announce(self.url)
         return self.url
@@ -346,10 +336,9 @@ class PlanServer:
 
     @property
     def url(self) -> str:
-        if self._server is None:
+        if self.http is None:
             raise RuntimeError("plan server not started")
-        host, port = self._server.server_address[:2]
-        return f"http://{host}:{port}"
+        return self.http.url
 
     @property
     def draining(self) -> bool:
@@ -384,13 +373,9 @@ class PlanServer:
         self.stores.flush_all()
 
     def _stop_http(self) -> None:
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-            self._server = None
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        if self.http is not None:
+            self.http.close()
+            self.http = None
 
     def retry_after_s(self) -> int:
         """Seconds clients should wait before retrying a drained 503."""
@@ -402,15 +387,6 @@ class PlanServer:
         self.registry.inc("serve_job_timeouts_total")
 
     # -- request handling (called from handler threads) --------------------
-
-    def authorized(self, header: str | None) -> bool:
-        token = self.config.token
-        if not token:
-            return True
-        if header == f"Bearer {token}":
-            return True
-        self.registry.inc("serve_auth_rejects_total")
-        return False
 
     def handle_plan(self, body: dict) -> tuple[int, dict]:
         """``POST /plan``: warm hit -> 200, cold miss -> 202 + job.
@@ -621,76 +597,23 @@ class PlanServer:
         )
 
 
-def _make_handler(server: PlanServer) -> type[BaseHTTPRequestHandler]:
-    """A handler class closed over one plan server (coordinator idiom)."""
-    from ..dist.protocol import decode
+class _PlanHandler(JsonHandler):
+    """The plan server's routes (the base does auth, bodies, replies)."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
+    auth_metric = "serve_auth_rejects_total"
 
-        def log_message(self, format: str, *args: Any) -> None:
-            pass  # the CLI summary is the UI; no per-request spam
+    def route(self, body: dict | None) -> tuple[int, dict | str]:
+        server = self.service
+        if body is not None:
+            if self.path == "/plan":
+                return server.handle_plan(body)
+        elif self.path == "/status":
+            return 200, server.handle_status()
+        elif self.path == "/metrics":
+            return 200, server.metrics_text()
+        elif self.path.startswith("/plan/"):
+            return server.handle_plan_poll(self.path[len("/plan/"):])
+        return 404, {"error": f"unknown path {self.path}"}
 
-        def _reply(self, payload: dict, code: int = 200) -> None:
-            raw = encode(payload)
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(raw)))
-            if code == 503 and "retry_after" in payload:
-                self.send_header("Retry-After", str(payload["retry_after"]))
-            self.end_headers()
-            self.wfile.write(raw)
-
-        def _reply_text(self, text: str, code: int = 200) -> None:
-            raw = text.encode("utf-8")
-            self.send_response(code)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(raw)))
-            self.end_headers()
-            self.wfile.write(raw)
-
-        def do_GET(self) -> None:  # noqa: N802 (http.server API)
-            try:
-                if self.path == "/healthz":
-                    # deliberately unauthenticated: probes come from
-                    # supervisors without credentials, and the body is
-                    # liveness/readiness only
-                    code, payload = server.handle_healthz()
-                    self._reply(payload, code)
-                elif not server.authorized(self.headers.get("Authorization")):
-                    self._reply({"error": "unauthorized"}, 401)
-                elif self.path == "/status":
-                    self._reply(server.handle_status())
-                elif self.path == "/metrics":
-                    self._reply_text(server.metrics_text())
-                elif self.path.startswith("/plan/"):
-                    code, payload = server.handle_plan_poll(
-                        self.path[len("/plan/"):]
-                    )
-                    self._reply(payload, code)
-                else:
-                    self._reply({"error": f"unknown path {self.path}"}, 404)
-            except Exception as exc:
-                self._reply({"error": str(exc)}, 500)
-
-        def do_POST(self) -> None:  # noqa: N802 (http.server API)
-            try:
-                if not server.authorized(self.headers.get("Authorization")):
-                    self._reply({"error": "unauthorized"}, 401)
-                    return
-                if self.path != "/plan":
-                    self._reply({"error": f"unknown path {self.path}"}, 404)
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                body = decode(self.rfile.read(length)) if length else {}
-                code, payload = server.handle_plan(body)
-                self._reply(payload, code)
-            except (BadRequest, ValueError) as exc:
-                server.registry.inc("serve_bad_requests_total")
-                self._reply({"error": str(exc)}, 400)
-            except Exception as exc:
-                self._reply({"error": str(exc)}, 500)
-
-    return Handler
+    def bad_request(self) -> None:
+        self.service.registry.inc("serve_bad_requests_total")

@@ -23,6 +23,12 @@ Proves the PR-8 serving story end to end against a real
    proof that recovery **re-simulated zero evaluations**; the restarted
    server then drains cleanly on SIGTERM (exit 0).
 
+Phases 2 and 3 run on fresh client threads and record
+``connections_opened``, counted on the server side: clients keep their
+connections alive, so the sequential phase opens exactly one and the
+throughput phase one per client (``tools/check_perf_smoke.py`` holds
+both counts; unlike the walls they carry across hosts).
+
 The JSON keeps the raw counters so the trajectory is comparable across
 commits, same shape discipline as BENCH_dist.json.
 """
@@ -39,7 +45,6 @@ import sys
 import tempfile
 import threading
 import time
-import urllib.request
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -104,14 +109,9 @@ def bench_recovery(tmp: Path, budget: int) -> dict:
     proc, url = spawn_serve(root, budget, chaos)
     t0 = time.monotonic()
     try:
-        body = json.dumps({"platform": PLATFORM, "p": P, "n": N}).encode()
-        req = urllib.request.Request(
-            f"{url}/plan", data=body, method="POST",
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(req, timeout=30) as resp:
-            assert resp.status == 202
-            job_id = json.loads(resp.read())["job"]
+        code, body = request_plan(url, PLATFORM, P, N)
+        assert code == 202
+        job_id = body["job"]
         proc.wait(timeout=600)  # the chaos hook SIGKILLs mid-job
         assert proc.returncode == -signal.SIGKILL, proc.returncode
     finally:
@@ -196,14 +196,24 @@ def main() -> int:
 
             # -- 2. warm-hit latency, sequential ------------------------
             sims_before = sim_runs(reg)
+            conns_before = server.http.connections_opened
             lat: list[float] = []
-            for _ in range(args.samples):
-                t = time.perf_counter()
-                code, _body = request_plan(url, PLATFORM, P, N)
-                lat.append(time.perf_counter() - t)
-                assert code == 200
+
+            def sequential() -> None:
+                for _ in range(args.samples):
+                    t = time.perf_counter()
+                    code, _body = request_plan(url, PLATFORM, P, N)
+                    lat.append(time.perf_counter() - t)
+                    assert code == 200
+
+            th = threading.Thread(target=sequential)
+            th.start()
+            th.join()
+            assert len(lat) == args.samples, "sequential client failed"
             warm = {
                 "samples": args.samples,
+                "connections_opened":
+                    server.http.connections_opened - conns_before,
                 "p50_ms": round(percentile(lat, 0.50) * 1e3, 3),
                 "p95_ms": round(percentile(lat, 0.95) * 1e3, 3),
                 "p99_ms": round(percentile(lat, 0.99) * 1e3, 3),
@@ -212,7 +222,8 @@ def main() -> int:
             warm_sims = sim_runs(reg) - sims_before
             assert warm_sims == 0, f"warm phase simulated {warm_sims} runs"
             print(f"  warm hits: p50 {warm['p50_ms']}ms  "
-                  f"p99 {warm['p99_ms']}ms  (0 simulations)")
+                  f"p99 {warm['p99_ms']}ms  (0 simulations, "
+                  f"{warm['connections_opened']} connection(s))")
 
             # -- 3. concurrent warm throughput --------------------------
             total = args.clients * args.per_client
@@ -228,6 +239,7 @@ def main() -> int:
 
             threads = [threading.Thread(target=hammer)
                        for _ in range(args.clients)]
+            conns_before = server.http.connections_opened
             t0 = time.monotonic()
             for th in threads:
                 th.start()
@@ -237,13 +249,16 @@ def main() -> int:
             assert not errors, errors[:3]
             throughput = {
                 "clients": args.clients,
+                "connections_opened":
+                    server.http.connections_opened - conns_before,
                 "requests": total,
                 "wall_s": round(wall, 4),
                 "requests_per_s": round(total / wall, 1),
             }
             print(f"  {total} concurrent warm requests in "
                   f"{throughput['wall_s']}s -> "
-                  f"{throughput['requests_per_s']} req/s")
+                  f"{throughput['requests_per_s']} req/s over "
+                  f"{throughput['connections_opened']} connection(s)")
         finally:
             server.stop()
 

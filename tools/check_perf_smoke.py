@@ -54,6 +54,14 @@ against the committed baseline and enforces two kinds of bounds:
   (a same-run ratio, so it transfers across hosts).  A missing
   ``BENCH_apps.json`` skips the checks.
 
+* **Plan-server connections** (DESIGN.md §5.13): when
+  ``BENCH_serve.json`` (``tools/bench_serve.py``) is present at the
+  repository root, its server-side connection counts must be exact:
+  one connection for the sequential warm-latency phase and one per
+  client for the throughput phase.  Clients keep their connections
+  alive; a count above that means a client path went back to a
+  connection per request.  Counts carry across hosts, walls do not.
+
 The baseline is read from ``git show HEAD:BENCH_smoke.json`` when
 available (so running the guard after regenerating the file still
 compares against what is committed), falling back to ``--baseline``.
@@ -263,6 +271,28 @@ def main(argv=None) -> int:
         print(f"apps baseline: {apps_base_src}")
     else:
         print(f"skip: application workloads ({args.apps} not present)")
+    serve_path = ROOT / "BENCH_serve.json"
+    if serve_path.exists():
+        try:
+            serve = json.loads(serve_path.read_text())
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read {serve_path}: {exc}", file=sys.stderr)
+            return 2
+        throughput = serve["throughput"]
+        for phase, got, want in (
+            ("warm latency", serve["warm_latency"].get("connections_opened"), 1),
+            ("throughput", throughput.get("connections_opened"),
+             throughput["clients"]),
+        ):
+            status = "OK" if got == want else "FAIL"
+            print(f"{status}: serve {phase} connections: {got} "
+                  f"(exactly {want})")
+            if got != want:
+                failures.append(
+                    f"serve {phase} phase opened {got} connections, not {want}"
+                )
+    else:
+        print(f"skip: plan-server connections ({serve_path} not present)")
     print(f"baseline: {base_src}")
     if failures:
         for f in failures:
