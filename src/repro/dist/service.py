@@ -3,7 +3,8 @@
 Each server subclasses :class:`JsonHandler` with its routes and serves
 it from a :class:`JsonServer`.  The base owns the rest: replies, the
 unauthenticated ``/healthz`` probe, the 401 gate, JSON bodies and the
-error mapping (``ValueError`` -> 400, anything else -> 500).
+error mapping (a malformed JSON body or a ``ValueError`` -> 400,
+anything else -> 500).
 
 Clients keep connections alive (:mod:`repro.dist.protocol`), which
 makes three things load-bearing (DESIGN.md §5.9):
@@ -25,6 +26,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
+from ..errors import DistProtocolError
 from .protocol import decode, encode
 
 #: seconds a kept-alive connection may sit idle before the server closes it
@@ -53,7 +55,8 @@ class JsonHandler(BaseHTTPRequestHandler):
         raise NotImplementedError
 
     def bad_request(self) -> None:
-        """Hook: a route raised ``ValueError`` (answered 400)."""
+        """Hook: a malformed JSON body, or a route that raised
+        ``ValueError`` (answered 400)."""
 
     def log_message(self, format: str, *args: Any) -> None:
         pass  # the CLI summary / progress ticker is the UI
@@ -79,7 +82,10 @@ class JsonHandler(BaseHTTPRequestHandler):
             elif not self._authorized():
                 code, payload = 401, {"error": "unauthorized"}
             else:
-                body = (decode(raw) if raw else {}) if post else None
+                try:
+                    body = (decode(raw) if raw else {}) if post else None
+                except DistProtocolError as exc:  # a malformed body
+                    raise ValueError(str(exc)) from exc
                 code, payload = self.route(body)
         except ValueError as exc:
             self.bad_request()

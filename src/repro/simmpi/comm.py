@@ -42,7 +42,13 @@ import numpy as np
 from ..errors import MPIUsageError, SimulationError
 from .engine import Engine
 from .fabric import P2PMessage
-from .request import AlltoallRequest, P2PRequest, RecvRequest, Request
+from .request import (
+    AlltoallRequest,
+    ExchangeShape,
+    P2PRequest,
+    RecvRequest,
+    Request,
+)
 
 
 class SimContext:
@@ -142,6 +148,11 @@ class SimContext:
         """Run consecutive ``(seconds, test_total, label)`` pipeline
         phases against the same ``live`` request window.
 
+        ``live`` must hold only posted, unwaited requests (the tile
+        pipeline's window, which retires a request from its head before
+        waiting on it); unlike ``_share_tests`` this method does not
+        filter it.
+
         Each phase is semantically identical to ``compute_with_progress(
         seconds, ParallelFFT3D._share_tests(live, total), label, attrs)``
         — same budget split, same progression, same two clock advances
@@ -165,6 +176,7 @@ class SimContext:
         trace = self._trace
         by_label = trace.by_label
         events = trace.events
+        n_live = len(live)
         for seconds, total, label in phases:
             if seconds < 0:
                 raise SimulationError(
@@ -173,100 +185,25 @@ class SimContext:
             t0 = r.clock
             duration = seconds if stretch is None else seconds * stretch
             total_tests = 0
-            if total > 0:
-                if len(live) == 1:
-                    # Window of one (the overlap pipeline's common case):
-                    # reuse the caller's list instead of copying it.
-                    q0 = live[0]
-                    lv = live if q0 is not None and not q0.consumed else ()
-                else:
-                    lv = [q for q in live if q is not None and not q.consumed]
-                if lv:
-                    base, extra = divmod(total, len(lv))
-                    positive = duration > 0
-                    for i, q in enumerate(lv):
-                        ntests = base + 1 if i < extra else base
-                        if ntests <= 0:
-                            continue
-                        total_tests += ntests
-                        eff = ntests if eff_of is None else eff_of(rank, ntests)
-                        if eff <= 0:
-                            continue
-                        if positive and q._next < q._n:
-                            # Same closed-form epoch precheck progress_segment
-                            # opens with (same expressions, so same floats):
-                            # fall through to posting only when an epoch in
-                            # this window can actually post a round.
-                            gap = duration / (eff + 1)
-                            ready = q._round_ready
-                            kf = (ready - t0) / gap
-                            kf = int(kf) + (kf > int(kf))
-                            if kf < 1:
-                                kf = 1
-                            q.progress_entries += 1
-                            if kf > eff:
-                                continue
-                            # Inlined body of AlltoallRequest.progress_segment
-                            # (verbatim expressions — any rearrangement could
-                            # shift a posted time by a ULP).  The method is
-                            # kept as the reference implementation for
-                            # compute_with_progress and direct callers.
-                            (rank_w, rate_q, lat, thr, infl, sc, pending, row,
-                             cnts, cmax, np_, waiters, notify, jdraw) = q._hot
-                            fabric = q.fabric
-                            rdv = 2.0 * lat + 0.5 * gap
-                            nic = float(fabric.nic_free[rank_w])
-                            total_bytes = 0
-                            k = 0  # last used epoch (1-based over 1..eff)
-                            own = q._own_finish
-                            n_q = q._n
-                            nxt = q._next
-                            while nxt < n_q:
-                                k_needed = (ready - t0) / gap
-                                k_needed = int(k_needed) + (k_needed > int(k_needed))
-                                if k_needed <= k:
-                                    k_needed = k + 1
-                                if k_needed > eff:
-                                    break  # no more library entries here
-                                k = k_needed
-                                t_post = t0 + k * gap
-                                if t_post > nic:
-                                    nic = t_post
-                                stop = nxt + infl
-                                if stop > n_q:
-                                    stop = n_q
-                                round_max = 0.0
-                                for j in range(nxt, stop):
-                                    d = pending[j]
-                                    sz = sc[d]
-                                    nic += sz / rate_q
-                                    a = nic + lat + (rdv if sz > thr else 0.0)
-                                    if jdraw is not None:
-                                        a += jdraw(rank_w)
-                                    row[d] = a
-                                    cnts[d] += 1
-                                    if a > cmax[d]:
-                                        cmax[d] = a
-                                    if cnts[d] >= np_ and waiters:
-                                        w = waiters.pop(d, None)
-                                        if w is not None and notify is not None:
-                                            notify(w)
-                                    total_bytes += sz
-                                    if a > round_max:
-                                        round_max = a
-                                nxt = stop
-                                if round_max > own:
-                                    own = round_max
-                                ready = own
-                            q._next = nxt
-                            fabric.nic_free[rank_w] = nic
-                            fabric.bytes_injected[rank_w] += total_bytes
-                            q._own_finish = own
-                            q._round_ready = ready
-                        else:
-                            # progress_segment would bump the entry counter
-                            # and return without touching any other state
-                            q.progress_entries += 1
+            if total > 0 and n_live:
+                base, extra = divmod(total, n_live)
+                positive = duration > 0
+                for i, q in enumerate(live):
+                    ntests = base + 1 if i < extra else base
+                    if ntests <= 0:
+                        continue
+                    total_tests += ntests
+                    eff = ntests if eff_of is None else eff_of(rank, ntests)
+                    if eff <= 0:
+                        continue
+                    # AlltoallRequest.progress_segment(t0, duration, eff),
+                    # with its no-op exits inlined: most segments cannot
+                    # post a round, and those only count a library entry.
+                    q.progress_entries += 1
+                    if positive and q._next < q._n:
+                        gap = duration / (eff + 1)
+                        if (q._round_ready - t0) / gap <= eff:
+                            q._post_epochs(t0, gap, eff)
             # Inlined Engine.advance pair (phase label + Test overhead):
             # same IEEE operations in the same order, so clocks and by_label
             # totals are bit-identical to the two-call spelling.
@@ -304,10 +241,10 @@ class Communicator:
             raise MPIUsageError(f"rank {ctx.rank} not in group {group}")
         self.rank = group.index(ctx.rank)
         self.size = len(group)
-        #: id -> (counts object, validated int64 array).  Keeping the
-        #: original object referenced pins its id, so a hit can never be
-        #: a recycled address (see _alltoall_counts).
-        self._counts_memo: dict[int, tuple[Any, np.ndarray]] = {}
+        #: (id(sendcounts), id(recvcounts)) -> (sendcounts, recvcounts,
+        #: shape).  Keeping the argument objects referenced pins their
+        #: ids, so a hit can never be a recycled address.
+        self._shapes: dict[tuple[int, int], tuple[Any, Any, ExchangeShape]] = {}
         #: CPU cost of posting a nonblocking collective (constant here)
         self._post_cost = self.fabric.net.post_cost(self.size)
         self._advance = self.engine.advance  # per-tile hot path binding
@@ -461,24 +398,9 @@ class Communicator:
 
     # -------------------------------------------------------------- alltoall
 
-    def _alltoall_counts(self, counts) -> tuple[np.ndarray, list[int], int | None]:
-        """Validate a counts argument, memoized per argument object.
-
-        Returns the validated int64 array, its plain-list form (the
-        request's posting loops index the list), and the uniform entry
-        value when all counts are equal (``None`` otherwise — lets the
-        request's flush path skip re-deriving uniformity).  Pipelines
-        pass the
-        same (cached) count vectors for every tile, so full validation
-        runs once per distinct object; the memo keeps the original
-        object alive, making the id-keyed hit safe.  A caller that
-        mutates a previously passed vector in place keeps the old
-        validated copy — in-tree callers never do.
-        """
-        memo = self._counts_memo
-        hit = memo.get(id(counts))
-        if hit is not None and hit[0] is counts:
-            return hit[1], hit[2], hit[3]
+    def _alltoall_counts(self, counts) -> np.ndarray:
+        """Validate a counts argument (scalar = uniform) as int64 bytes
+        per peer."""
         arr = np.asarray(counts, dtype=np.int64)
         if arr.ndim == 0:
             arr = np.full(self.size, int(arr), dtype=np.int64)
@@ -488,16 +410,33 @@ class Communicator:
             )
         if (arr < 0).any():
             raise MPIUsageError("negative byte count in alltoall")
+        return arr
+
+    def _exchange_shape(self, sendcounts, recvcounts) -> ExchangeShape:
+        """The :class:`ExchangeShape` of an exchange, memoized per pair
+        of argument objects.
+
+        Pipelines pass the same (cached) count vectors for every tile,
+        so validation and the shape's loop invariants are built once per
+        distinct pair.  A caller that mutates a previously passed vector
+        in place keeps the old shape; in-tree callers never do.
+        """
+        memo = self._shapes
+        key = (id(sendcounts), id(recvcounts))
+        hit = memo.get(key)
+        if hit is not None and hit[0] is sendcounts and hit[1] is recvcounts:
+            return hit[2]
+        shape = ExchangeShape(
+            self.fabric, self.rank, self.group,
+            self._alltoall_counts(sendcounts),
+            self._alltoall_counts(
+                recvcounts if recvcounts is not None else sendcounts
+            ),
+        )
         if len(memo) > 64:  # callers passing fresh lists can't grow it
             memo.clear()
-        lst = arr.tolist()
-        uni = lst[0] if lst else None
-        for v in lst:
-            if v != uni:
-                uni = None
-                break
-        memo[id(counts)] = (counts, arr, lst, uni)
-        return arr, lst, uni
+        memo[key] = (sendcounts, recvcounts, shape)
+        return shape
 
     def ialltoall(
         self,
@@ -513,20 +452,14 @@ class Communicator:
         mode).  The returned request is progressed by ``test`` /
         ``SimContext.compute_with_progress`` and finished by ``wait``.
         """
-        send, send_list, send_uniform = self._alltoall_counts(sendcounts)
-        recv, _, _ = self._alltoall_counts(
-            recvcounts if recvcounts is not None else sendcounts
-        )
+        shape = self._exchange_shape(sendcounts, recvcounts)
         if payload is not None and len(payload) != self.size:
             raise MPIUsageError(
                 f"payload must have one entry per rank ({self.size}), got {len(payload)}"
             )
         key = self._coll_key()
         op = self.fabric.get_coll(key, "alltoall", self.size)
-        req = AlltoallRequest(
-            self.fabric, op, self.rank, self.group, send, recv, payload,
-            sendcounts_list=send_list, uniform_size=send_uniform,
-        )
+        req = AlltoallRequest(self.fabric, op, self.rank, shape, payload)
         ctx = self.ctx
         # Inlined Engine.advance(rank, post_cost, "Ialltoall", attrs):
         # same IEEE operations in the same order (see progress_phases).
@@ -544,7 +477,7 @@ class Communicator:
             if trace.attrs is not None:
                 # attrs only for a tracer, and only when events are kept
                 trace.attrs.append(
-                    {"send_bytes": sum(send_list), "peers": self.size}
+                    {"send_bytes": sum(shape.send_list), "peers": self.size}
                     if self._tracer is not None else None
                 )
         r.clock = t1
@@ -586,8 +519,9 @@ class Communicator:
         """
         key = self._coll_key()
         op = self.fabric.get_coll(key, kind, self.size)
-        t = self.ctx.now
-        op.entered[self.rank] = t
+        if op.entered is None:
+            op.entered = [None] * self.size
+        op.entered[self.rank] = self.ctx.now
         if payload is not None or combine is not None:
             op.payload[self.rank] = payload
         op.meta.setdefault("root", root)
@@ -595,17 +529,17 @@ class Communicator:
             raise MPIUsageError(f"{kind} called with different roots")
 
         def probe() -> float | None:
-            if not np.isfinite(op.entered).all():
+            if None in op.entered:
                 return None
-            return float(op.entered.max()) + extra_time
+            return float(max(op.entered)) + extra_time
 
         yield ("block", probe, label)
         result = None
         if combine is not None:
             payloads = [op.payload.get(i) for i in range(self.size)]
             result = combine(payloads)
-        op.meta["done_count"] = op.meta.get("done_count", 0) + 1
-        if op.meta["done_count"] == self.size:
+        op.done += 1
+        if op.done == self.size:
             self.fabric.release_coll(key)
         return result
 

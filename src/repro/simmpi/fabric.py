@@ -33,43 +33,37 @@ from ..machine.platforms import Platform
 class CollOp:
     """Shared record of one collective instance across all participants.
 
-    ``arrivals[src][dst]`` is the virtual time at which src's message to
-    dst is fully delivered (NaN until posted).  Rows are plain Python
-    lists: the hot paths write one scalar at a time, and creating p
-    small lists is far cheaper than a (p, p) ndarray per collective.
-    ``payload[src]`` holds the per-destination data chunks in
-    real-payload mode.
+    All-to-all senders bump ``posted_count[dst]`` and raise
+    ``col_max[dst]`` for every message they post: the destination's
+    exchange is complete once its count reaches ``p``, and ``col_max``
+    is then its latest arrival.  Both are plain Python lists, because
+    the posting loops touch one entry at a time, where list indexing
+    beats ndarray scalars.  ``payload[src]`` holds the per-destination
+    data chunks in real-payload mode.
     """
 
     key: tuple[Any, ...]
     kind: str
     p: int
-    arrivals: list[list[float]]
-    entered: np.ndarray  # entry time per local rank index, NaN until entered
-    #: messages posted toward each destination (a plain list: senders bump
-    #: entries one at a time, where list indexing beats ndarray scalars)
+    #: messages posted toward each destination
     posted_count: list[int]
-    #: running max arrival per destination column, maintained by every
-    #: arrivals write — makes incoming_max O(1) instead of a column scan
+    #: latest arrival posted toward each destination so far
     col_max: list[float]
+    #: entry time per local rank, ``None`` until entered (synchronizing
+    #: collectives only; all-to-all completion needs no entry times)
+    entered: list[float | None] | None = None
+    #: participants that observed completion; the last one frees the op
+    done: int = 0
     payload: dict[int, Any] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
-    #: local index -> world rank parked in Wait on that row; the poster
-    #: that completes the row notifies the engine (event-driven wakeup)
+    #: local index -> world rank parked in Wait on that destination; the
+    #: poster that completes it notifies the engine (event-driven wakeup)
     waiters: dict[int, int] = field(default_factory=dict)
 
     @classmethod
     def create(cls, key: tuple[Any, ...], kind: str, p: int) -> "CollOp":
-        """Fresh record with empty arrival/entry tables."""
-        return cls(
-            key=key,
-            kind=kind,
-            p=p,
-            arrivals=[[float("nan")] * p for _ in range(p)],
-            entered=np.full(p, np.nan),
-            posted_count=[0] * p,
-            col_max=[float("-inf")] * p,
-        )
+        """Fresh record with no message posted."""
+        return cls(key, kind, p, [0] * p, [float("-inf")] * p)
 
     def check_kind(self, kind: str) -> None:
         """Verify all participants called the same collective."""
@@ -78,18 +72,6 @@ class CollOp:
                 f"collective mismatch on {self.key}: one rank called "
                 f"{self.kind!r}, another {kind!r}"
             )
-
-    def row_complete(self, dst: int) -> bool:
-        """All incoming messages to local index ``dst`` posted?
-
-        O(1): senders bump :attr:`posted_count` as they inject, so probes
-        (which the scheduler issues frequently) avoid scanning arrivals.
-        """
-        return self.posted_count[dst] >= self.p
-
-    def incoming_max(self, dst: int) -> float:
-        """Latest arrival into ``dst`` (valid once the row is complete)."""
-        return self.col_max[dst]
 
 
 @dataclass
@@ -115,7 +97,9 @@ class Fabric:
         self.net = platform.net
         self.p = nprocs
         #: virtual time at which each rank's NIC finishes its queued sends
-        self.nic_free = np.zeros(nprocs)
+        #: (a plain list: the posting loops read and write one entry per
+        #: library entry, where list indexing beats ndarray scalars)
+        self.nic_free = [0.0] * nprocs
         #: effective sustained per-rank injection rate during dense exchange
         self.rank_rate = self.net.rank_rate(nprocs)
         #: injected faults (a :class:`repro.faults.FaultModel`, or None).
@@ -141,7 +125,7 @@ class Fabric:
         #: just became determinable (set by Engine at construction)
         self.notify_rank = None
         #: bytes ever injected, per rank (observability / tests)
-        self.bytes_injected = np.zeros(nprocs)
+        self.bytes_injected = [0] * nprocs
 
     def rate_for(self, rank: int) -> float:
         """Effective injection rate of ``rank`` (fault-degraded links)."""
@@ -179,40 +163,6 @@ class Fabric:
 
     # -- injection ----------------------------------------------------------
 
-    def inject_round(
-        self,
-        rank: int,
-        t_post: float,
-        sizes,
-        epoch_gap: float,
-    ) -> list[float]:
-        """Scalar fast path of :meth:`inject` for one small round.
-
-        Collective rounds are at most ``max_inflight`` messages, where
-        plain-Python arithmetic beats numpy dispatch by an order of
-        magnitude; semantics are identical to :meth:`inject` with all
-        ``postable`` entries equal to ``t_post``.
-        """
-        nic = float(self.nic_free[rank])
-        rate = self.rate_for(rank)
-        lat = self.net.latency
-        thr = self.net.eager_threshold
-        rdv = 2.0 * lat + 0.5 * epoch_gap
-        draw = self.lat_draw
-        arrivals: list[float] = []
-        total = 0
-        for sz in sizes:
-            start = nic if nic > t_post else t_post
-            nic = start + sz / rate
-            a = nic + lat + (rdv if sz > thr else 0.0)
-            if draw is not None:
-                a += draw(rank)
-            arrivals.append(a)
-            total += sz
-        self.nic_free[rank] = nic
-        self.bytes_injected[rank] += total
-        return arrivals
-
     def inject(
         self,
         rank: int,
@@ -239,8 +189,8 @@ class Fabric:
         # bounded below by the NIC's previous backlog.
         base = np.maximum.accumulate(postable - (cum - durs))
         finish = np.maximum(base, self.nic_free[rank]) + cum
-        self.nic_free[rank] = finish[-1]
-        self.bytes_injected[rank] += float(np.sum(sizes))
+        self.nic_free[rank] = float(finish[-1])
+        self.bytes_injected[rank] += int(sizes.sum())
         rdv = np.where(
             sizes > self.net.eager_threshold,
             2.0 * self.net.latency + 0.5 * epoch_gap,

@@ -26,24 +26,69 @@ the engine scheduler.
 
 from __future__ import annotations
 
+from math import ceil
 from typing import Any
 
 import numpy as np
 
-from ..errors import MPIUsageError
 from .fabric import CollOp, Fabric
 
-#: rotation orders are identical for every exchange of the same shape;
-#: cache them per (rank, group size)
-_ORDER_CACHE: dict[tuple[int, int], list[int]] = {}
 
+class ExchangeShape:
+    """The count-dependent part of one rank's all-to-all exchanges.
 
-def _rotation_order(rank: int, p: int) -> list[int]:
-    order = _ORDER_CACHE.get((rank, p))
-    if order is None:
+    Everything here depends only on the communicator, the owner's rank
+    and the (sendcounts, recvcounts) pair, so
+    :meth:`~repro.simmpi.comm.Communicator.ialltoall` builds it once per
+    distinct pair and every request of that shape reuses it — the way
+    MPI codes build their subarray datatypes once per plan.  Fields:
+
+    * ``send``/``recv``: the validated int64 count vectors;
+    * ``send_list``: ``send`` as a list, indexed by the posting loops;
+    * ``order``: the injection order rank+1, rank+2, ... (pairwise-style
+      rotation, the owner's own slot excluded);
+    * ``uniform``: the common size of every sent message (plain
+      alltoall), or ``None`` when they differ (alltoallv);
+    * ``durs``/``bigs``: per position in ``order``, the NIC time of the
+      send (``size / rate``, the same division the model defines, so the
+      cached float is the one the loop would compute) and whether it is
+      above the eager threshold;
+    * ``cum``: bytes sent by positions before each index (``cum[n]`` is
+      the total), so a posting pass adds its bytes with one subtraction;
+    * ``hot``: the loop-invariant bundle the posting loops unpack.
+    """
+
+    __slots__ = ("send", "recv", "send_list", "order", "uniform", "durs",
+                 "bigs", "cum", "hot")
+
+    def __init__(
+        self,
+        fabric: Fabric,
+        rank: int,
+        group: list[int],
+        send: np.ndarray,
+        recv: np.ndarray,
+    ) -> None:
+        p = len(group)
+        rank_w = group[rank]
+        rate = fabric.rate_for(rank_w)
+        net = fabric.net
+        sc = send.tolist()
         order = [(rank + k) % p for k in range(1, p)]
-        _ORDER_CACHE[(rank, p)] = order
-    return order
+        sizes = [sc[d] for d in order]
+        cum = [0]
+        for sz in sizes:
+            cum.append(cum[-1] + sz)
+        self.send = send
+        self.recv = recv
+        self.send_list = sc
+        self.order = order
+        self.uniform = sizes[0] if sizes and sizes.count(sizes[0]) == len(sizes) else None
+        self.durs = [sz / rate for sz in sizes]
+        self.bigs = [sz > net.eager_threshold for sz in sizes]
+        self.cum = cum
+        self.hot = (rank_w, rate, net.latency, net.max_inflight, order,
+                    self.durs, self.bigs, p, fabric.lat_draw)
 
 
 class Request:
@@ -71,13 +116,12 @@ class AlltoallRequest(Request):
         Shared network state and the collective instance record.
     rank:
         Owner's index within the participating group.
-    group:
-        World ranks of the participants (``group[rank]`` is the owner).
-    sendcounts:
-        Bytes destined to each group member (vector form supports
-        alltoallv; the owner's own slot is copied locally for free).
-    recvcounts:
-        Bytes expected from each member (used for assembly bookkeeping).
+    shape:
+        The exchange's counts and loop invariants (an
+        :class:`ExchangeShape` built by the communicator; the owner's
+        own slot is copied locally for free).
+    payload:
+        One object per destination (real-payload mode), or ``None``.
     """
 
     def __init__(
@@ -85,69 +129,21 @@ class AlltoallRequest(Request):
         fabric: Fabric,
         op: CollOp,
         rank: int,
-        group: list[int],
-        sendcounts: np.ndarray,
-        recvcounts: np.ndarray,
+        shape: ExchangeShape,
         payload: list[Any] | None = None,
-        sendcounts_list: list[int] | None = None,
-        uniform_size: int | None = None,
     ) -> None:
-        p = len(group)
-        if len(sendcounts) != p or len(recvcounts) != p:
-            raise MPIUsageError(
-                f"alltoall counts must have length {p}, got "
-                f"{len(sendcounts)}/{len(recvcounts)}"
-            )
         self.fabric = fabric
         self.op = op
         self.rank = rank
-        self.group = group
-        self.sendcounts = np.asarray(sendcounts, dtype=np.int64)
-        self.recvcounts = np.asarray(recvcounts, dtype=np.int64)
-        # Injection order: rank+1, rank+2, ... (pairwise-style rotation).
-        self._pending = _rotation_order(rank, p)
-        # The communicator's counts memo passes the list form along so
-        # per-request posting skips a fresh ndarray->list conversion.
-        self._sendcounts_list = (
-            sendcounts_list
-            if sendcounts_list is not None
-            else self.sendcounts.tolist()
-        )
-        #: every sendcount equals this (uniform alltoall), else None;
-        #: an unset hint just means the flush path re-derives uniformity
-        self._uniform_size = uniform_size
-        self._n = len(self._pending)
+        self.shape = shape
+        self._hot = shape.hot
+        self._n = len(shape.order)
         self._next = 0
         self._own_finish = 0.0
         self._round_ready = 0.0
         self._entered_wait = False
-        # Hot-loop bindings: progress_segment runs on every MPI_Test
-        # epoch batch, so the per-call attribute walks are hoisted here.
-        self._rank_w = group[rank]
-        self._row = op.arrivals[rank]
         self._counts = op.posted_count
         self._col_max = op.col_max
-        # Loop-invariant bundle for the round-posting paths: one tuple
-        # unpack replaces ~14 attribute walks per library entry (these
-        # run several times per tile and dominate simulator overhead).
-        net = fabric.net
-        rates = fabric._rates
-        self._hot = (
-            self._rank_w,
-            rates[self._rank_w] if rates is not None else fabric.rank_rate,
-            net.latency,
-            net.eager_threshold,
-            net.max_inflight,
-            self._sendcounts_list,
-            self._pending,
-            self._row,
-            self._counts,
-            self._col_max,
-            op.p,
-            op.waiters,
-            fabric.notify_rank,
-            fabric.lat_draw,
-        )
         if payload is not None:
             op.payload[rank] = payload
         #: diagnostics: number of library entries that progressed this op
@@ -158,19 +154,23 @@ class AlltoallRequest(Request):
 
     # -- progression --------------------------------------------------------
 
-    def remaining_sends(self) -> int:
-        """Messages not yet handed to the NIC."""
-        return self._n - self._next
+    def _wake(self, d: int) -> None:
+        """Destination ``d`` just received its last message: hand its
+        owner, if parked in Wait, to the engine."""
+        w = self.op.waiters.pop(d, None)
+        if w is not None:
+            notify = self.fabric.notify_rank
+            if notify is not None:
+                notify(w)
 
     def _post_round(self, t_post: float, epoch_gap: float) -> None:
         """Post the next round: up to ``max_inflight`` pending sends.
 
-        The NIC serialization of :meth:`Fabric.inject_round` is inlined
-        into the delivery loop (same IEEE operations in the same order)
-        — one pass per round instead of building sizes/arrivals lists.
+        Each send serializes on the owner's NIC (``size / rate``) and
+        arrives ``latency`` later, plus the rendezvous handshake
+        (``2*latency`` and half the epoch gap) above the eager threshold.
         """
-        (rank_w, rate, lat, thr, infl, sc, pending, row, counts, cmax,
-         p, waiters, notify, draw) = self._hot
+        rank_w, rate, lat, infl, order, durs, bigs, p, draw = self._hot
         n = self._n
         nxt = self._next
         stop = nxt + infl
@@ -179,32 +179,31 @@ class AlltoallRequest(Request):
         if stop <= nxt:
             return
         fabric = self.fabric
+        counts = self._counts
+        cmax = self._col_max
+        waiters = self.op.waiters
         rdv = 2.0 * lat + 0.5 * epoch_gap
-        nic = float(fabric.nic_free[rank_w])
+        nic = fabric.nic_free[rank_w]
         if nic < t_post:
             nic = t_post
-        total = 0
         round_max = float("-inf")  # jitter can reorder within a round
         for j in range(nxt, stop):
-            d = pending[j]
-            sz = sc[d]
-            nic += sz / rate
-            a = nic + lat + (rdv if sz > thr else 0.0)
+            d = order[j]
+            nic += durs[j]
+            a = nic + lat + (rdv if bigs[j] else 0.0)
             if draw is not None:
                 a += draw(rank_w)
-            row[d] = a
-            counts[d] += 1
+            c = counts[d] + 1
+            counts[d] = c
             if a > cmax[d]:
                 cmax[d] = a
-            if counts[d] >= p and waiters:
-                w = waiters.pop(d, None)
-                if w is not None and notify is not None:
-                    notify(w)
-            total += sz
+            if c == p and waiters:
+                self._wake(d)
             if a > round_max:
                 round_max = a
         fabric.nic_free[rank_w] = nic
-        fabric.bytes_injected[rank_w] += total
+        cum = self.shape.cum
+        fabric.bytes_injected[rank_w] += cum[stop] - cum[nxt]
         if round_max > self._own_finish:
             self._own_finish = round_max
         #: a new round may be posted at the first library entry at or
@@ -215,11 +214,9 @@ class AlltoallRequest(Request):
     def post(self, t: float) -> None:
         """Initial library entry (the Ialltoall call itself)."""
         r = self.rank
-        self._row[r] = t  # self-delivery is free
-        self._counts[r] += 1
+        self._counts[r] += 1  # self-delivery is free
         if t > self._col_max[r]:
             self._col_max[r] = t
-        self.op.entered[r] = t
         self._round_ready = t
         self._post_round(t, 0.0)
         self.progress_entries += 1
@@ -236,38 +233,39 @@ class AlltoallRequest(Request):
         if ntests <= 0:
             return
         self.progress_entries += 1
-        n = self._n
-        if self._next >= n or duration <= 0:
+        if self._next >= self._n or duration <= 0:
             return
         gap = duration / (ntests + 1)
-        ready = self._round_ready
-        # Closed-form batch check before any heavy binding: the first
-        # epoch that could post a round is ceil((ready - t0)/gap); when
-        # it lies past this segment's last test, the whole batch of
-        # failed tests is a no-op and the call returns here.  The
-        # expression mirrors the loop below bit for bit — an algebraic
-        # rearrangement could diverge by a ULP and shift a posted time.
-        k_first = (ready - t0) / gap
-        k_first = int(k_first) + (k_first > int(k_first))
-        if k_first < 1:
-            k_first = 1
-        if k_first > ntests:
+        # Closed-form batch check: the first epoch that could post a
+        # round is ceil((ready - t0)/gap); when it lies past the last
+        # test, the whole batch of failed tests is a no-op.  Comparing
+        # the quotient itself is the same test (``ntests`` is integral).
+        if (self._round_ready - t0) / gap > ntests:
             return
-        # Tight scalar loop: one iteration per posted round, with the
-        # NIC/arrival math inlined (this path runs O(p/max_inflight)
-        # times per tile per rank and dominates simulator cost at scale).
-        (rank_w, rate, lat, thr, infl, sc, pending, row, counts, cmax,
-         p, waiters, notify, jdraw) = self._hot
+        self._post_epochs(t0, gap, ntests)
+
+    def _post_epochs(self, t0: float, gap: float, ntests: int) -> None:
+        """Post rounds at the test epochs ``t0 + k*gap``, ``k = 1..ntests``:
+        each round at the first epoch at or after the previous round's
+        completion.  One pass per posted round, NIC and arrival math
+        inlined (this runs O(p/max_inflight) times per tile per rank and
+        dominates simulator cost at scale).  Callers have checked that at
+        least one epoch can post."""
+        rank_w, rate, lat, infl, order, durs, bigs, p, draw = self._hot
         fabric = self.fabric
+        counts = self._counts
+        cmax = self._col_max
+        waiters = self.op.waiters
         rdv = 2.0 * lat + 0.5 * gap
-        nic = float(fabric.nic_free[rank_w])
-        total_bytes = 0
-        k = 0  # index of the last used epoch (1-based over 1..ntests)
+        nic = fabric.nic_free[rank_w]
+        n = self._n
+        first = nxt = self._next
+        ready = self._round_ready
         own = self._own_finish
-        while self._next < n:
+        k = 0  # index of the last used epoch (1-based over 1..ntests)
+        while nxt < n:
             # First epoch at or after the previous round's completion.
-            k_needed = (ready - t0) / gap
-            k_needed = int(k_needed) + (k_needed > int(k_needed))
+            k_needed = ceil((ready - t0) / gap)
             if k_needed <= k:
                 k_needed = k + 1
             if k_needed > ntests:
@@ -276,32 +274,32 @@ class AlltoallRequest(Request):
             t_post = t0 + k * gap
             if t_post > nic:
                 nic = t_post
-            stop = min(self._next + infl, n)
+            stop = nxt + infl
+            if stop > n:
+                stop = n
             round_max = 0.0
-            for j in range(self._next, stop):
-                d = pending[j]
-                sz = sc[d]
-                nic += sz / rate
-                a = nic + lat + (rdv if sz > thr else 0.0)
-                if jdraw is not None:
-                    a += jdraw(rank_w)
-                row[d] = a
-                counts[d] += 1
+            for j in range(nxt, stop):
+                d = order[j]
+                nic += durs[j]
+                a = nic + lat + (rdv if bigs[j] else 0.0)
+                if draw is not None:
+                    a += draw(rank_w)
+                c = counts[d] + 1
+                counts[d] = c
                 if a > cmax[d]:
                     cmax[d] = a
-                if counts[d] >= p and waiters:
-                    w = waiters.pop(d, None)
-                    if w is not None and notify is not None:
-                        notify(w)
-                total_bytes += sz
+                if c == p and waiters:
+                    self._wake(d)
                 if a > round_max:
                     round_max = a
-            self._next = stop
+            nxt = stop
             if round_max > own:
                 own = round_max
             ready = own
+        self._next = nxt
         fabric.nic_free[rank_w] = nic
-        fabric.bytes_injected[rank_w] += total_bytes
+        cum = self.shape.cum
+        fabric.bytes_injected[rank_w] += cum[nxt] - cum[first]
         self._own_finish = own
         self._round_ready = ready
 
@@ -330,19 +328,19 @@ class AlltoallRequest(Request):
         rendezvous handshake for large messages).  Mixed sizes
         (alltoallv) fall back to the per-round loop.
         """
-        (rank_w, rate, lat, thr, infl, sc, pending, row, counts, cmax,
-         p, waiters, notify, jdraw) = self._hot
-        dests = pending[self._next :]
-        m = self._uniform_size
+        rank_w, rate, lat, infl, order, durs, bigs, p, draw = self._hot
+        shape = self.shape
+        nxt = self._next
+        dests = order[nxt:]
+        m = shape.uniform
         if m is None:
-            # No uniformity hint: derive it for the remaining slice (a
-            # suffix of an alltoallv vector can still be uniform, and
-            # path selection must not depend on how the request was
-            # constructed).
+            # A suffix of an alltoallv vector can still be uniform, and
+            # path selection must not depend on how far progression got.
+            sc = shape.send_list
             sizes = [sc[d] for d in dests]
             if len(set(sizes)) == 1:
                 m = sizes[0]
-        if m is None or jdraw is not None:
+        if m is None or draw is not None:
             # Mixed sizes (alltoallv), or latency faults — the per-round
             # loop keeps round barriers consistent with jittered
             # arrivals the way the progress_segment path sees them.
@@ -350,11 +348,14 @@ class AlltoallRequest(Request):
                 self._post_round(max(t0, self._round_ready), 0.0)
             return
         fabric = self.fabric
+        counts = self._counts
+        cmax = self._col_max
+        waiters = self.op.waiters
         n = len(dests)
         dur = m / rate
-        rdv = 2.0 * lat if m > thr else 0.0
+        rdv = 2.0 * lat if bigs[nxt] else 0.0
         barrier = lat + rdv  # delivery gap between rounds
-        start0 = max(t0, float(fabric.nic_free[rank_w]))
+        start0 = max(t0, fabric.nic_free[rank_w])
         if n <= 48:
             # Scalar path: rounds are short, and for small n the python
             # loop beats five ndarray constructions.  Same IEEE ops in
@@ -365,40 +366,33 @@ class AlltoallRequest(Request):
             for jj, d in enumerate(dests):
                 last_finish = start0 + (jj + 1) * dur + (jj // infl) * barrier
                 a = last_finish + lat + rdv
-                row[d] = a
-                counts[d] += 1
+                c = counts[d] + 1
+                counts[d] = c
                 if a > cmax[d]:
                     cmax[d] = a
+                if c == p and waiters:
+                    self._wake(d)
                 if a > own:
                     own = a
-                if counts[d] >= p and waiters:
-                    w = waiters.pop(d, None)
-                    if w is not None and notify is not None:
-                        notify(w)
-            fabric.nic_free[rank_w] = last_finish
-            fabric.bytes_injected[rank_w] += m * n
-            self._own_finish = own
-            self._round_ready = own
-            self._next += n
-            return
-        j = np.arange(n)
-        ridx = j // infl
-        finish = start0 + (j + 1) * dur + ridx * barrier
-        arrivals = finish + lat + rdv
-        for d, a in zip(dests, arrivals.tolist()):
-            row[d] = a
-            counts[d] += 1  # destinations are unique within a request
-            if a > cmax[d]:
-                cmax[d] = a
-            if counts[d] >= p and waiters:
-                w = waiters.pop(d, None)
-                if w is not None and notify is not None:
-                    notify(w)
-        fabric.nic_free[rank_w] = float(finish[-1])
-        fabric.bytes_injected[rank_w] += m * n
-        self._own_finish = max(self._own_finish, float(arrivals.max()))
-        self._round_ready = self._own_finish
-        self._next += n
+        else:
+            j = np.arange(n)
+            ridx = j // infl
+            finish = start0 + (j + 1) * dur + ridx * barrier
+            arrivals = finish + lat + rdv
+            for d, a in zip(dests, arrivals.tolist()):
+                c = counts[d] + 1  # destinations are unique within a request
+                counts[d] = c
+                if a > cmax[d]:
+                    cmax[d] = a
+                if c == p and waiters:
+                    self._wake(d)
+            last_finish = float(finish[-1])
+            own = max(self._own_finish, float(arrivals.max()))
+        fabric.nic_free[rank_w] = last_finish
+        fabric.bytes_injected[rank_w] += shape.cum[-1] - shape.cum[nxt]
+        self._own_finish = own
+        self._round_ready = own
+        self._next = self._n
 
     # -- completion -----------------------------------------------------------
 
@@ -420,17 +414,17 @@ class AlltoallRequest(Request):
     def on_complete(self, t: float) -> list[Any] | None:
         """Assemble received chunks (real-payload mode) in group order,
         and free the shared op record once every participant finished."""
-        payloads = self.op.payload
+        op = self.op
+        payloads = op.payload
         out: list[Any] | None = None
         if payloads:
             out = []
-            for src in range(len(self.group)):
+            for src in range(op.p):
                 chunks = payloads.get(src)
                 out.append(None if chunks is None else chunks[self.rank])
-        done = self.op.meta.get("done_count", 0) + 1
-        self.op.meta["done_count"] = done
-        if done == len(self.group):
-            self.fabric.release_coll(self.op.key)
+        op.done += 1
+        if op.done == op.p:
+            self.fabric.release_coll(op.key)
         return out
 
 

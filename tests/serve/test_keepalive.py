@@ -119,6 +119,42 @@ class TestBodyReadBeforeReply:
             conn.close()
 
 
+class TestMalformedBody:
+    @pytest.mark.parametrize("raw", [b"{not json", b"[1,2]"],
+                             ids=["not-json", "not-an-object"])
+    def test_malformed_json_is_400_and_keeps_the_connection(
+            self, service, raw):
+        svc, post_path, _ = service
+        conn = raw_connection(svc)
+        try:
+            status, body, _ = exchange(conn, "POST", post_path, raw, AUTH)
+            assert status == 400
+            assert json.loads(body)["error"]
+            status, _, _ = exchange(conn, "GET", "/status", headers=AUTH)
+            assert status == 200
+        finally:
+            conn.close()
+        assert svc.http.connections_opened == 1
+
+    def test_plan_server_counts_malformed_bodies_as_bad_requests(
+            self, tmp_path):
+        reg = MetricsRegistry()
+        with scoped_registry(reg):
+            srv = PlanServer(ServeConfig(root=str(tmp_path / "store"),
+                                         default_budget=4))
+        srv.start()
+        conn = raw_connection(srv)
+        try:
+            for raw in (b"{not json", b"[1,2]"):
+                status, _, _ = exchange(conn, "POST", "/plan", raw)
+                assert status == 400
+        finally:
+            conn.close()
+            srv.stop()
+        assert reg.value("serve_bad_requests_total") == 2
+        assert reg.value("serve_jobs_enqueued_total") == 0
+
+
 class TestStop:
     def test_stopped_server_stops_answering(self, service):
         svc, _, _ = service

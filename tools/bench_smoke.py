@@ -21,6 +21,15 @@ so CI can upload it as an artifact.
 and writes a Chrome trace-event JSON (Perfetto-viewable) that CI uploads
 as an artifact.
 
+Before the grid, ``sim_vs_ref`` times one fixed virtual run (NEW on
+UMD-Cluster, p=32, N=640, T=4, W=2, fixed steps skipped as the tuner
+runs it; best of 3) and divides it by the median wall of
+``numpy.fft.fftn`` on one 32^3 complex array timed around those runs.
+The ratio is a simulator-overhead number that carries across hosts,
+where a raw wall does not; ``tools/check_perf_smoke.py`` holds it under
+a ceiling.  It runs before the counters are reset, so they still cover
+only what follows.
+
 Finally the run exercises the fault-tolerant execution path end to end:
 a pooled grid is started with the ``REPRO_EXEC_CHAOS`` kill-once hook
 armed, so the first worker hard-exits mid-grid; the pool must respawn
@@ -35,16 +44,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from repro.bench import clear_cache  # noqa: E402
 from repro.core import ProblemShape  # noqa: E402
+from repro.core.api import run_case  # noqa: E402
+from repro.core.variants import baseline_params, get_variant  # noqa: E402
 from repro.exec import ResultStore, evaluate_cells  # noqa: E402
 from repro.machine import UMD_CLUSTER  # noqa: E402
 from repro.tuning import EvalStore, autotune  # noqa: E402
@@ -59,6 +73,41 @@ from repro.obs import (  # noqa: E402
 GRID = {"UMD-Cluster": [(4, 32), (8, 32)], "Hopper": [(4, 32)]}
 BUDGET = 6
 TUNE_SHAPE = ProblemShape(64, 64, 64, 4)
+#: the fixed virtual run behind sim_vs_ref
+SIM_SHAPE = ProblemShape(640, 640, 640, 32)
+
+
+def sim_vs_ref(repeats: int = 3, ref_calls: int = 5) -> dict:
+    """Best-of-``repeats`` wall of one virtual run over the median wall
+    of a 32^3 ``numpy.fft.fftn``, sampled before and after each run."""
+    spec = get_variant("NEW")
+    params = baseline_params(spec, SIM_SHAPE).replace(T=4, W=2)
+    rng = np.random.default_rng(0)
+    field = rng.standard_normal((32, 32, 32)) + 1j * rng.standard_normal(
+        (32, 32, 32))
+    ref: list[float] = []
+    sim: list[float] = []
+
+    def sample_ref() -> None:
+        for _ in range(ref_calls):
+            t0 = time.perf_counter()
+            np.fft.fftn(field)
+            ref.append(time.perf_counter() - t0)
+
+    for _ in range(repeats):
+        sample_ref()
+        t0 = time.perf_counter()
+        run_case(spec, UMD_CLUSTER, SIM_SHAPE, params,
+                 include_fixed_steps=False)
+        sim.append(time.perf_counter() - t0)
+    sample_ref()
+    ref_s = statistics.median(ref)
+    return {
+        "run": "NEW UMD-Cluster p32 N640 T4 W2, fixed steps skipped",
+        "sim_s": round(min(sim), 4),
+        "ref_s": round(ref_s, 6),
+        "sim_vs_ref": round(min(sim) / ref_s, 1),
+    }
 
 
 def warm_vs_cold_tune(store_path: str) -> dict:
@@ -129,6 +178,7 @@ def main(argv=None) -> int:
                     help="where the warm-vs-cold tune saves its eval store")
     args = ap.parse_args(argv)
 
+    sim = sim_vs_ref()
     clear_cache()
     reset_sched_totals()
     tracer = Tracer(rank_spans=False, meta={"command": "bench_smoke"})
@@ -151,6 +201,8 @@ def main(argv=None) -> int:
         "scheduler_handoffs": totals.handoffs,
         "scheduler_probe_polls": totals.probe_polls,
         "scheduler_wakeups": totals.wakeups,
+        "sim_vs_ref": sim["sim_vs_ref"],
+        "sim_run": sim,
         "host_cores": os.cpu_count(),
         "eval_store": tune,
         "fault_tolerance": chaos,

@@ -22,6 +22,10 @@ against the committed baseline and enforces two kinds of bounds:
   runner vs a laptop, tight enough to catch an accidental O(n) -> O(n^2)
   in the scheduler).
 
+* **Simulator overhead**: ``sim_vs_ref`` (one fixed virtual run's wall
+  over a same-run ``numpy.fft.fftn`` 32^3 wall, so it carries across
+  hosts) must stay at or below ``SIM_VS_REF_MAX``.
+
 * **Metrics-registry overhead** (DESIGN.md §5.12): when a fresh
   ``BENCH_obs.json`` (``tools/bench_obs.py``) is present, its
   ``registry`` measurement — the bench-smoke grid with the registry
@@ -80,6 +84,11 @@ ROOT = Path(__file__).resolve().parents[1]
 #: ceiling on BENCH_apps.json's kernel_vs_numpy (Plan1D.execute over
 #: numpy.fft at the pipeline's call shapes, best-of-N in one run)
 KERNEL_VS_NUMPY_MAX = 4.0
+
+#: ceiling on BENCH_smoke.json's sim_vs_ref (one virtual NEW p=32 N=640
+#: run over a numpy.fft.fftn 32^3 call, same run); about 1.5x headroom
+#: over the committed value
+SIM_VS_REF_MAX = 200.0
 
 #: ceiling on BENCH_obs.json's export_vs_run (trace export wall over the
 #: untraced run wall of the same problem, same run)
@@ -170,6 +179,16 @@ def main(argv=None) -> int:
             failures.append(
                 f"wall_s regressed: {fresh['wall_s']} > {base['wall_s']} "
                 f"* {args.wall_tol:g}"
+            )
+    if "sim_vs_ref" in fresh:
+        ratio = fresh["sim_vs_ref"]
+        status = "OK" if ratio <= SIM_VS_REF_MAX else "FAIL"
+        print(f"{status}: sim_vs_ref: {ratio}x "
+              f"(ceiling {SIM_VS_REF_MAX:g}x)")
+        if ratio > SIM_VS_REF_MAX:
+            failures.append(
+                f"virtual run {ratio}x numpy.fft.fftn 32^3, above "
+                f"{SIM_VS_REF_MAX:g}x"
             )
     obs_path = Path(args.obs)
     if obs_path.exists():
