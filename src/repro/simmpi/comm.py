@@ -477,7 +477,7 @@ class Communicator:
             if trace.attrs is not None:
                 # attrs only for a tracer, and only when events are kept
                 trace.attrs.append(
-                    {"send_bytes": sum(shape.send_list), "peers": self.size}
+                    {"send_bytes": int(shape.send.sum()), "peers": self.size}
                     if self._tracer is not None else None
                 )
         r.clock = t1

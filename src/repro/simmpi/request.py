@@ -26,6 +26,7 @@ the engine scheduler.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import ceil
 from typing import Any
 
@@ -44,7 +45,6 @@ class ExchangeShape:
     MPI codes build their subarray datatypes once per plan.  Fields:
 
     * ``send``/``recv``: the validated int64 count vectors;
-    * ``send_list``: ``send`` as a list, indexed by the posting loops;
     * ``order``: the injection order rank+1, rank+2, ... (pairwise-style
       rotation, the owner's own slot excluded);
     * ``uniform``: the common size of every sent message (plain
@@ -58,8 +58,8 @@ class ExchangeShape:
     * ``hot``: the loop-invariant bundle the posting loops unpack.
     """
 
-    __slots__ = ("send", "recv", "send_list", "order", "uniform", "durs",
-                 "bigs", "cum", "hot")
+    __slots__ = ("send", "recv", "order", "uniform", "durs", "bigs", "cum",
+                 "hot")
 
     def __init__(
         self,
@@ -73,20 +73,18 @@ class ExchangeShape:
         rank_w = group[rank]
         rate = fabric.rate_for(rank_w)
         net = fabric.net
-        sc = send.tolist()
         order = [(rank + k) % p for k in range(1, p)]
-        sizes = [sc[d] for d in order]
-        cum = [0]
-        for sz in sizes:
-            cum.append(cum[-1] + sz)
+        sizes = send[order].tolist()
+        # one float per distinct size: a memoized communicator holds its
+        # shapes until the cyclic GC frees it, so they are kept small
+        dur_of = {sz: sz / rate for sz in set(sizes)}
         self.send = send
         self.recv = recv
-        self.send_list = sc
         self.order = order
         self.uniform = sizes[0] if sizes and sizes.count(sizes[0]) == len(sizes) else None
-        self.durs = [sz / rate for sz in sizes]
+        self.durs = [dur_of[sz] for sz in sizes]
         self.bigs = [sz > net.eager_threshold for sz in sizes]
-        self.cum = cum
+        self.cum = list(accumulate(sizes, initial=0))
         self.hot = (rank_w, rate, net.latency, net.max_inflight, order,
                     self.durs, self.bigs, p, fabric.lat_draw)
 
@@ -336,10 +334,10 @@ class AlltoallRequest(Request):
         if m is None:
             # A suffix of an alltoallv vector can still be uniform, and
             # path selection must not depend on how far progression got.
-            sc = shape.send_list
-            sizes = [sc[d] for d in dests]
-            if len(set(sizes)) == 1:
-                m = sizes[0]
+            cum = shape.cum
+            sizes = {cum[j + 1] - cum[j] for j in range(nxt, self._n)}
+            if len(sizes) == 1:
+                m = sizes.pop()
         if m is None or draw is not None:
             # Mixed sizes (alltoallv), or latency faults — the per-round
             # loop keeps round barriers consistent with jittered
