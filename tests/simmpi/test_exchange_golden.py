@@ -13,7 +13,8 @@ The cases reach the exchange paths the trace golden
 (``tests/obs/test_trace_golden.py``) does not: large groups with many
 tiles and deep windows (NEW p=32, TH p=16), the parameter-independent
 steps skipped as the tuner does, uneven slabs (``MPI_Ialltoallv`` with
-mixed counts), latency jitter with a straggler, and the Hopper network.
+mixed counts), latency jitter with a straggler, the Hopper network, and
+rendezvous-size messages posted at test epochs.
 A change to the simulated network that moves any posted time, any
 counter or any injected byte fails here.
 
@@ -54,6 +55,9 @@ CASES = {
         "NEW", "UMD-Cluster", 64, 8, 4, 2, True, JITTER_STRAGGLER,
     ),
     "NEW-Hopper-p16-N128": ("NEW", "Hopper", 128, 16, 4, 2, True, ""),
+    # 256 KiB messages, above the eager threshold, and more peers than
+    # one round holds: the test epochs post rendezvous rounds
+    "NEW-p8-N256-rendezvous": ("NEW", "UMD-Cluster", 256, 8, 16, 2, True, ""),
 }
 
 

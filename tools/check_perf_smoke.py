@@ -87,8 +87,9 @@ KERNEL_VS_NUMPY_MAX = 4.0
 
 #: ceiling on BENCH_smoke.json's sim_vs_ref (one virtual NEW p=32 N=640
 #: run over a numpy.fft.fftn 32^3 call, same run); about 1.5x headroom
-#: over the committed value
-SIM_VS_REF_MAX = 200.0
+#: over its median on a 2-core host, about 145 (the simulator before the
+#: list-backed network read about 255)
+SIM_VS_REF_MAX = 215.0
 
 #: ceiling on BENCH_obs.json's export_vs_run (trace export wall over the
 #: untraced run wall of the same problem, same run)
