@@ -426,13 +426,10 @@ class Communicator:
         hit = memo.get(key)
         if hit is not None and hit[0] is sendcounts and hit[1] is recvcounts:
             return hit[2]
-        shape = ExchangeShape(
-            self.fabric, self.rank, self.group,
-            self._alltoall_counts(sendcounts),
-            self._alltoall_counts(
-                recvcounts if recvcounts is not None else sendcounts
-            ),
-        )
+        send = self._alltoall_counts(sendcounts)
+        if recvcounts is not None:
+            self._alltoall_counts(recvcounts)
+        shape = ExchangeShape(self.fabric, self.rank, self.group, send)
         if len(memo) > 64:  # callers passing fresh lists can't grow it
             memo.clear()
         memo[key] = (sendcounts, recvcounts, shape)

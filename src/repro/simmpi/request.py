@@ -44,7 +44,8 @@ class ExchangeShape:
     distinct pair and every request of that shape reuses it — the way
     MPI codes build their subarray datatypes once per plan.  Fields:
 
-    * ``send``/``recv``: the validated int64 count vectors;
+    * ``send``: the validated int64 send counts (the receive counts are
+      validated by the communicator but not needed to time the sends);
     * ``order``: the injection order rank+1, rank+2, ... (pairwise-style
       rotation, the owner's own slot excluded);
     * ``uniform``: the common size of every sent message (plain
@@ -58,8 +59,7 @@ class ExchangeShape:
     * ``hot``: the loop-invariant bundle the posting loops unpack.
     """
 
-    __slots__ = ("send", "recv", "order", "uniform", "durs", "bigs", "cum",
-                 "hot")
+    __slots__ = ("send", "order", "uniform", "durs", "bigs", "cum", "hot")
 
     def __init__(
         self,
@@ -67,7 +67,6 @@ class ExchangeShape:
         rank: int,
         group: list[int],
         send: np.ndarray,
-        recv: np.ndarray,
     ) -> None:
         p = len(group)
         rank_w = group[rank]
@@ -79,7 +78,6 @@ class ExchangeShape:
         # shapes until the cyclic GC frees it, so they are kept small
         dur_of = {sz: sz / rate for sz in set(sizes)}
         self.send = send
-        self.recv = recv
         self.order = order
         self.uniform = sizes[0] if sizes and sizes.count(sizes[0]) == len(sizes) else None
         self.durs = [dur_of[sz] for sz in sizes]
