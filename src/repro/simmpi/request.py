@@ -39,10 +39,11 @@ class ExchangeShape:
     """The count-dependent part of one rank's all-to-all exchanges.
 
     Everything here depends only on the communicator, the owner's rank
-    and the (sendcounts, recvcounts) pair, so
+    and the send counts, so
     :meth:`~repro.simmpi.comm.Communicator.ialltoall` builds it once per
-    distinct pair and every request of that shape reuses it — the way
-    MPI codes build their subarray datatypes once per plan.  Fields:
+    distinct (sendcounts, recvcounts) argument pair and every request of
+    that shape reuses it — the way MPI codes build their subarray
+    datatypes once per plan.  Fields:
 
     * ``send``: the validated int64 send counts (the receive counts are
       validated by the communicator but not needed to time the sends);
@@ -79,7 +80,9 @@ class ExchangeShape:
         dur_of = {sz: sz / rate for sz in set(sizes)}
         self.send = send
         self.order = order
-        self.uniform = sizes[0] if sizes and sizes.count(sizes[0]) == len(sizes) else None
+        self.uniform = (
+            sizes[0] if sizes and sizes.count(sizes[0]) == len(sizes) else None
+        )
         self.durs = [dur_of[sz] for sz in sizes]
         self.bigs = [sz > net.eager_threshold for sz in sizes]
         self.cum = list(accumulate(sizes, initial=0))
@@ -151,7 +154,7 @@ class AlltoallRequest(Request):
     # -- progression --------------------------------------------------------
 
     def _wake(self, d: int) -> None:
-        """Destination ``d`` just received its last message: hand its
+        """Destination ``d`` was just posted its last message: hand its
         owner, if parked in Wait, to the engine."""
         w = self.op.waiters.pop(d, None)
         if w is not None:
