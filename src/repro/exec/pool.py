@@ -334,8 +334,15 @@ def _run_pooled(run: _Run, jobs: int) -> None:
         return items
 
     try:
-        for i in range(run.total):
-            submit(i)
+        try:
+            for i in range(run.total):
+                submit(i)
+        except (BrokenProcessPool, RuntimeError):
+            # a worker died before the last item was even submitted;
+            # nothing has been collected yet, so every item reruns
+            tracked.clear()
+            deadlines.clear()
+            raise _PoolBroken(list(range(run.total)))
         while tracked or run.retry_at:
             now = policy.clock()
             # resubmit items whose backoff has elapsed

@@ -15,6 +15,8 @@ no wall-clock waits in the suite.
 import os
 import time
 import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -247,6 +249,32 @@ class TestPoolRecovery:
                                policy=ExecPolicy(pool_respawns=0))
         assert out == [0, 1, 4]
         assert tr.counters["pool.serial_fallbacks"] == 1
+
+    def test_pool_broken_during_first_submissions_degrades(self,
+                                                           monkeypatch):
+        # a worker can die before the last item is even submitted:
+        # submit() itself then raises BrokenProcessPool
+        monkeypatch.setattr("repro.exec.pool.ProcessPoolExecutor",
+                            _SubmitBreaksPool)
+        with tracing(Tracer(rank_spans=False)) as tr:
+            out = parallel_map(_square, [(i,) for i in range(3)], jobs=2,
+                               policy=ExecPolicy(pool_respawns=0))
+        assert out == [0, 1, 4]
+        assert tr.counters["pool.serial_fallbacks"] == 1
+
+
+class _SubmitBreaksPool(ProcessPoolExecutor):
+    """A pool found broken at its second submission."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submits = 0
+
+    def submit(self, fn, /, *args, **kwargs):
+        self.submits += 1
+        if self.submits == 2:
+            raise BrokenProcessPool("a worker died during submission")
+        return super().submit(fn, *args, **kwargs)
 
 
 class TestSerialPoolParity:
